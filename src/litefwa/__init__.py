@@ -21,7 +21,6 @@ from .harness import (
 from .lfwa import (
     GenerationTrace,
     LfwaState,
-    SparkSet,
     average_intensity,
     explosion_intensity,
     explosion_radius,

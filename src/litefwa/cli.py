@@ -27,6 +27,14 @@ from .benchmarks import make_objective, objective_names
 from .core import RunConfig
 
 
+def _reject_duplicates(kind: str, names: list[str]) -> None:
+    """Each name may appear once: a repeat would add a summary row that the
+    provenance, keyed by name, cannot tell apart."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{kind} given more than once: {', '.join(repeated)}")
+
+
 def _expand_functions(spec: str) -> list[str]:
     """Expand 'f1..f9' ranges and comma lists into registry names."""
     names: list[str] = []
@@ -48,6 +56,7 @@ def _expand_functions(spec: str) -> list[str]:
             raise ValueError(f"unknown function {name!r}; valid names: {', '.join(valid)}")
     if not names:
         raise ValueError("no functions given")
+    _reject_duplicates("function", names)
     return names
 
 
@@ -60,6 +69,7 @@ def _expand_algorithms(spec: str) -> list[str]:
             )
     if not names:
         raise ValueError("no algorithms given")
+    _reject_duplicates("algorithm", names)
     return names
 
 

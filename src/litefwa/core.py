@@ -91,10 +91,15 @@ class RngStream:
         """Standard normal draw(s), mean 0 and standard deviation 1."""
         return self._gen.standard_normal(size)
 
-    def integers(self, low: int, high: int, size=None):
-        """Uniform integer draw(s) from [low, high)."""
+    def integers(self, low, high, size=None):
+        """Uniform integer draw(s) from [low, high).
+
+        An array ``low`` (or ``high``) gives one draw per entry, with the
+        values and the final stream state of the scalar draws made one
+        after another; scalar bounds without ``size`` give a Python int.
+        """
         out = self._gen.integers(low, high, size=size)
-        return int(out) if size is None else out
+        return out if isinstance(out, np.ndarray) else int(out)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed})"
@@ -127,10 +132,10 @@ class RunConfig:
             raise ValueError("population_size must be at least 2")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
+        if not (math.isfinite(self.xi) and self.xi > 0):
+            raise ValueError(f"xi must be finite and positive, got {self.xi!r}")
         if (
             self.gaussian_sparks_per_generation is not None
             and self.gaussian_sparks_per_generation < 1

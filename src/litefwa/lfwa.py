@@ -8,11 +8,31 @@ selection, and finally the per-slot history update. The only algorithm
 parameters beyond the run protocol are the population size and the mutant
 budget; explosion amplitudes adapt from the population's own history instead
 of a preset maximum radius.
+
+The generation works on arrays: (M, d) positions and (M,) fitnesses for the
+fireworks and for the per-slot history, with candidates addressed by index.
+Its random draws, in order, are:
+
+  1. one uniform block for all displacement betas, shape (sum(s_i), d), or
+     (sum(s_i),) with ``scalar_beta``, fireworks in slot order;
+  2. per Gaussian mutant: the parent index, n, one integer draw for the n
+     swaps of the dimension shuffle, then one normal;
+  3. one uniform block for the out-of-bounds coordinates of all explosion
+     sparks then all mutants, row-major (no draw when none is out of bounds);
+  4. one integer draw for the M - 1 swaps of the selection shuffle.
+
+This is the draw sequence of the per-firework formulation (one uniform block
+per firework, one mapping draw per spark, one integer draw per swap), joined
+into fewer calls: numpy's ``Generator`` gives consecutive ``random`` calls
+the values of one joined call, and evaluates an ``integers`` call with an
+array ``low`` as the scalar calls in sequence, leaving the same generator
+state. ``tests/test_core.py`` checks both identities, and seeded outputs are
+unchanged from the per-firework implementation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +41,6 @@ from .core import Individual, RngStream, RunConfig, RunRecord, SearchSpace
 
 __all__ = [
     "LfwaState",
-    "SparkSet",
     "GenerationTrace",
     "explosion_intensity",
     "average_intensity",
@@ -41,31 +60,23 @@ __all__ = [
 class LfwaState:
     """Population state at a generation boundary.
 
-    ``pbest[i]`` is the best individual that ever occupied slot i, and
-    ``core`` is the best among all pbest entries. ``best_so_far`` tracks the
-    minimum fitness over everything evaluated since initialization.
+    Row i of ``pbest`` is the best position that ever occupied slot i; the
+    core firework is the first best of them (``core_index``).
+    ``best_position``/``best_fitness`` track the minimum over everything
+    evaluated since initialization. The arrays are never modified in place.
     """
 
-    fireworks: tuple[Individual, ...]
-    pbest: tuple[Individual, ...]
-    core: Individual
+    fireworks: np.ndarray
+    fitness: np.ndarray
+    pbest: np.ndarray
+    pbest_fitness: np.ndarray
+    best_position: np.ndarray
+    best_fitness: float
     iteration: int
-    best_so_far: Individual
 
-
-@dataclass(frozen=True)
-class SparkSet:
-    """All sparks of one generation, already bounds-mapped and evaluated."""
-
-    explosion_sparks: tuple[Individual, ...]
-    gaussian_sparks: tuple[Individual, ...]
-    spark_counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.spark_counts, dtype=int)
-        object.__setattr__(self, "spark_counts", counts)
-        if len(self.explosion_sparks) != int(counts.sum()):
-            raise ValueError("explosion spark list does not match the per-firework counts")
+    @property
+    def core_index(self) -> int:
+        return int(np.argmin(self.pbest_fitness))
 
 
 @dataclass
@@ -74,17 +85,20 @@ class GenerationTrace:
 
     Filled by ``lfwa_step`` when passed in; used for step-by-step
     verification against an independent transcription of the update rules.
+    Sparks are grouped by firework in slot order; ``selected`` holds the
+    candidate indices of the next generation, into fireworks + pbest + core
+    + explosion sparks + Gaussian sparks.
     """
 
     spark_counts: np.ndarray | None = None
     mean_intensity: float | None = None
-    radii: list[np.ndarray] = field(default_factory=list)
-    explosion_sparks_raw: list[np.ndarray] = field(default_factory=list)
-    explosion_sparks_mapped: list[np.ndarray] = field(default_factory=list)
-    gaussian_parents: list[int] = field(default_factory=list)
-    gaussian_sparks_raw: list[np.ndarray] = field(default_factory=list)
-    gaussian_sparks_mapped: list[np.ndarray] = field(default_factory=list)
-    selected: tuple[Individual, ...] = ()
+    radii: np.ndarray | None = None
+    explosion_sparks_raw: np.ndarray | None = None
+    explosion_sparks_mapped: np.ndarray | None = None
+    gaussian_parents: list[int] | None = None
+    gaussian_sparks_raw: np.ndarray | None = None
+    gaussian_sparks_mapped: np.ndarray | None = None
+    selected: np.ndarray | None = None
 
 
 def explosion_intensity(fitnesses, population_size: int, xi: float) -> np.ndarray:
@@ -98,9 +112,9 @@ def explosion_intensity(fitnesses, population_size: int, xi: float) -> np.ndarra
     fitnesses = np.asarray(fitnesses, dtype=float)
     if population_size < 1:
         raise ValueError("population_size must be at least 1")
-    if xi <= 0:
+    if not xi > 0:  # also rejects NaN
         raise ValueError("xi must be positive")
-    if not np.all(np.isfinite(fitnesses)):
+    if not np.isfinite(fitnesses).all():
         raise ValueError("all fitnesses must be finite")
     f_max = fitnesses.max()
     f_min = fitnesses.min()
@@ -113,54 +127,56 @@ def average_intensity(spark_counts) -> float:
     return float(np.mean(np.asarray(spark_counts, dtype=float)))
 
 
-def explosion_radius(
-    x_i: np.ndarray,
-    pbest_i: np.ndarray,
-    core: np.ndarray,
-    s_i: int,
-    s_avg: float,
-) -> np.ndarray:
-    """Radius vector for one firework, chosen by its intensity.
+def explosion_radius(x, pbest, core, counts, s_avg: float) -> np.ndarray:
+    """Radius vectors, one row per firework, chosen by intensity.
 
-    Below-average exploders step toward their own slot's historical best;
-    the rest (s_i >= s_avg) step toward the core firework.
+    Below-average exploders (s_i < s_avg) step toward their own slot's
+    historical best; the rest step toward the core firework. Rows of ``x``
+    and ``pbest`` pair with entries of ``counts``; one 1-d firework with a
+    scalar count gives one 1-d radius.
     """
-    x_i = np.asarray(x_i, dtype=float)
-    if s_i < s_avg:
-        return np.asarray(pbest_i, dtype=float) - x_i
-    return np.asarray(core, dtype=float) - x_i
+    x = np.asarray(x, dtype=float)
+    toward_pbest = (np.asarray(counts) < s_avg)[..., None]
+    return np.where(toward_pbest, np.asarray(pbest, dtype=float) - x,
+                    np.asarray(core, dtype=float) - x)
 
 
 def generate_explosion_sparks(
-    x_i: np.ndarray,
-    radius: np.ndarray,
-    count: int,
+    x,
+    radius,
+    counts,
     rng: RngStream,
     scalar_beta: bool = False,
 ) -> np.ndarray:
-    """Displace a firework ``count`` times along its radius vector.
+    """Displace each firework ``counts[i]`` times along its radius vector.
 
-    Each spark is x_i + beta * radius with beta uniform in [0, 1), drawn
-    independently per dimension (or once per spark with ``scalar_beta``).
-    Positions are returned unmapped; bounds handling happens later.
+    Each spark is x_i + beta * radius_i with beta uniform in [0, 1), drawn
+    independently per dimension (or once per spark with ``scalar_beta``),
+    all in one draw. Sparks come back as one (sum(counts), d) array grouped
+    by firework in row order, unmapped; bounds handling happens later. One
+    1-d firework with an integer count is one row.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    x_i = np.asarray(x_i, dtype=float)
-    radius = np.asarray(radius, dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    radius = np.atleast_2d(np.asarray(radius, dtype=float))
+    counts = np.atleast_1d(counts)
+    total = int(counts.sum())
     if scalar_beta:
-        beta = np.asarray(rng.uniform(size=count), dtype=float)[:, None]
+        beta = np.asarray(rng.uniform(size=total), dtype=float)[:, None]
     else:
-        beta = np.asarray(rng.uniform(size=(count, x_i.size)), dtype=float)
-    return x_i[None, :] + beta * radius[None, :]
+        beta = np.asarray(rng.uniform(size=(total, x.shape[1])), dtype=float)
+    return np.repeat(x, counts, axis=0) + beta * np.repeat(radius, counts, axis=0)
 
 
 def _sample_without_replacement(n: int, k: int, rng: RngStream) -> list[int]:
-    """First k entries of a partial Fisher-Yates shuffle of range(n)."""
+    """First k entries of a partial Fisher-Yates shuffle of range(n).
+
+    Swap j exchanges entries j and s_j with s_j uniform in [j, n); all k
+    targets come from one draw.
+    """
     idx = list(range(n))
-    for j in range(k):
-        swap = rng.integers(j, n)
-        idx[j], idx[swap] = idx[swap], idx[j]
+    if k:
+        for j, s in enumerate(rng.integers(np.arange(k), n).tolist()):
+            idx[j], idx[s] = idx[s], idx[j]
     return idx[:k]
 
 
@@ -176,10 +192,9 @@ def gaussian_mutation(x_i: np.ndarray, rng: RngStream) -> np.ndarray:
     x_i = np.asarray(x_i, dtype=float)
     d = x_i.size
     n = rng.integers(1, d + 1)
-    dims = _sample_without_replacement(d, n, rng)
+    dims = np.array(_sample_without_replacement(d, n, rng))
     out = x_i.copy()
-    factor = float(rng.normal()) + 1.0
-    out[dims] = out[dims] * factor
+    out[dims] *= float(rng.normal()) + 1.0
     return out
 
 
@@ -212,45 +227,26 @@ def map_batch_into_bounds(positions: np.ndarray, space: SearchSpace, rng: RngStr
     return positions
 
 
-def select_next_generation(
-    fireworks,
-    pbest,
-    core: Individual,
-    sparks: SparkSet,
-    population_size: int,
-    rng: RngStream,
-) -> list[Individual]:
-    """Elite-Random selection over the full candidate set.
+def select_next_generation(fitness, population_size: int, rng: RngStream) -> np.ndarray:
+    """Elite-Random selection; returns the chosen candidates' indices.
 
-    The candidate set is fireworks + pbest + core + all sparks. The single
-    best candidate (strictly-less comparison, first found wins ties) fills
-    slot 0; the remaining slots are drawn uniformly at random without
-    replacement from the rest. Should the pool ever be too small, the
-    remainder is sampled with replacement.
+    ``fitness`` holds one value per candidate; ``lfwa_step`` passes
+    fireworks + pbest + core + all sparks, in that order. The single best
+    candidate (first found wins ties) fills slot 0; the remaining slots are
+    drawn uniformly at random without replacement from the rest. Should the
+    pool ever be too small, the remainder is sampled with replacement.
     """
-    candidates: list[Individual] = (
-        list(fireworks)
-        + list(pbest)
-        + [core]
-        + list(sparks.explosion_sparks)
-        + list(sparks.gaussian_sparks)
-    )
-    fitnesses = np.array([c.fitness for c in candidates])
-    elite_idx = int(np.argmin(fitnesses))
-    selected = [candidates[elite_idx]]
-
-    pool = [i for i in range(len(candidates)) if i != elite_idx]
+    elite = int(np.argmin(fitness))
+    pool = len(fitness) - 1
     needed = population_size - 1
     if not pool:
-        return selected * population_size
-    if needed <= len(pool):
-        picks = [pool[j] for j in _sample_without_replacement(len(pool), needed, rng)]
+        return np.full(population_size, elite)
+    if needed <= pool:
+        picks = _sample_without_replacement(pool, needed, rng)
     else:
-        picks = list(pool)
-        for _ in range(needed - len(pool)):
-            picks.append(pool[rng.integers(0, len(pool))])
-    selected.extend(candidates[i] for i in picks)
-    return selected
+        picks = list(range(pool)) + [rng.integers(0, pool) for _ in range(needed - pool)]
+    # pool entry p is candidate p, or p + 1 from the elite on
+    return np.array([elite] + [p + (p >= elite) for p in picks])
 
 
 def lfwa_step(
@@ -262,72 +258,55 @@ def lfwa_step(
 ) -> LfwaState:
     """Advance the population by one full generation."""
     m = config.population_size
-    fitnesses = np.array([fw.fitness for fw in state.fireworks])
-    counts = explosion_intensity(fitnesses, m, config.xi)
+    fireworks, pbest, pbest_fitness = state.fireworks, state.pbest, state.pbest_fitness
+    core = state.core_index
+    counts = explosion_intensity(state.fitness, m, config.xi)
     s_avg = average_intensity(counts)
+    radii = explosion_radius(fireworks, pbest, pbest[core], counts, s_avg)
+    raw_sparks = generate_explosion_sparks(fireworks, radii, counts, rng, config.scalar_beta)
 
-    radii: list[np.ndarray] = []
-    raw_sparks: list[np.ndarray] = []
-    for i, fw in enumerate(state.fireworks):
-        r_i = explosion_radius(
-            fw.position, state.pbest[i].position, state.core.position, int(counts[i]), s_avg
-        )
-        radii.append(r_i)
-        raw_sparks.append(
-            generate_explosion_sparks(fw.position, r_i, int(counts[i]), rng, config.scalar_beta)
-        )
-
-    gaussian_parents: list[int] = []
-    raw_mutants: list[np.ndarray] = []
-    for _ in range(config.gaussian_spark_count):
+    parents: list[int] = []
+    raw_mutants = np.empty((config.gaussian_spark_count, fireworks.shape[1]))
+    for g in range(config.gaussian_spark_count):
         parent = rng.integers(0, m)
-        gaussian_parents.append(parent)
-        raw_mutants.append(gaussian_mutation(state.fireworks[parent].position, rng))
+        parents.append(parent)
+        raw_mutants[g] = gaussian_mutation(fireworks[parent], rng)
 
-    mapped_sparks = [
-        map_into_bounds(row, objective.space, rng) for block in raw_sparks for row in block
-    ]
-    mapped_mutants = [map_into_bounds(pos, objective.space, rng) for pos in raw_mutants]
+    sparks = map_batch_into_bounds(np.concatenate((raw_sparks, raw_mutants)), objective.space, rng)
+    values = objective.evaluate_many(sparks)
 
-    new_positions = np.asarray(mapped_sparks + mapped_mutants)
-    values = objective.evaluate_many(new_positions)
-    n_explosion = len(mapped_sparks)
-    explosion = tuple(
-        Individual(new_positions[i], values[i]) for i in range(n_explosion)
-    )
-    gaussian = tuple(
-        Individual(new_positions[n_explosion + i], values[n_explosion + i])
-        for i in range(len(mapped_mutants))
-    )
-    sparks = SparkSet(explosion, gaussian, counts)
+    positions = np.concatenate((fireworks, pbest, pbest[core : core + 1], sparks))
+    fitness = np.concatenate((state.fitness, pbest_fitness, pbest_fitness[core : core + 1], values))
+    selected = select_next_generation(fitness, m, rng)
+    new_fireworks = positions[selected]
+    new_fitness = fitness[selected]
 
-    selected = select_next_generation(state.fireworks, state.pbest, state.core, sparks, m, rng)
-
-    new_pbest = tuple(
-        selected[i] if selected[i].fitness < state.pbest[i].fitness else state.pbest[i]
-        for i in range(m)
-    )
-    core_idx = int(np.argmin([p.fitness for p in new_pbest]))
-    core = new_pbest[core_idx]
-    best = selected[0] if selected[0].fitness < state.best_so_far.fitness else state.best_so_far
+    improved = new_fitness < pbest_fitness
+    if new_fitness[0] < state.best_fitness:
+        best_position, best_fitness = new_fireworks[0], float(new_fitness[0])
+    else:
+        best_position, best_fitness = state.best_position, state.best_fitness
 
     if trace is not None:
+        n_explosion = len(raw_sparks)
         trace.spark_counts = counts
         trace.mean_intensity = s_avg
         trace.radii = radii
-        trace.explosion_sparks_raw = [row for block in raw_sparks for row in block]
-        trace.explosion_sparks_mapped = mapped_sparks
-        trace.gaussian_parents = gaussian_parents
+        trace.explosion_sparks_raw = raw_sparks
+        trace.explosion_sparks_mapped = sparks[:n_explosion]
+        trace.gaussian_parents = parents
         trace.gaussian_sparks_raw = raw_mutants
-        trace.gaussian_sparks_mapped = mapped_mutants
-        trace.selected = tuple(selected)
+        trace.gaussian_sparks_mapped = sparks[n_explosion:]
+        trace.selected = selected
 
     return LfwaState(
-        fireworks=tuple(selected),
-        pbest=new_pbest,
-        core=core,
+        fireworks=new_fireworks,
+        fitness=new_fitness,
+        pbest=np.where(improved[:, None], new_fireworks, pbest),
+        pbest_fitness=np.where(improved, new_fitness, pbest_fitness),
+        best_position=best_position,
+        best_fitness=best_fitness,
         iteration=state.iteration + 1,
-        best_so_far=best,
     )
 
 
@@ -335,14 +314,15 @@ def initialize_state(objective: Objective, config: RunConfig, rng: RngStream) ->
     """Uniform random population; each slot starts as its own historical best."""
     positions = np.asarray([objective.space.sample(rng) for _ in range(config.population_size)])
     values = objective.evaluate_many(positions)
-    fireworks = tuple(Individual(positions[i], values[i]) for i in range(config.population_size))
-    core = fireworks[int(np.argmin(values))]
+    best = int(np.argmin(values))
     return LfwaState(
-        fireworks=fireworks,
-        pbest=fireworks,
-        core=core,
+        fireworks=positions,
+        fitness=values,
+        pbest=positions,
+        pbest_fitness=values,
+        best_position=positions[best],
+        best_fitness=float(values[best]),
         iteration=0,
-        best_so_far=core,
     )
 
 
@@ -351,15 +331,15 @@ def lfwa_run(objective: Objective, config: RunConfig) -> RunRecord:
     rng = RngStream(config.seed)
     evals_before = objective.eval_count
     state = initialize_state(objective, config, rng)
-    trajectory = [state.best_so_far.fitness]
+    trajectory = [state.best_fitness]
     for _ in range(config.max_iterations):
         state = lfwa_step(state, objective, config, rng)
-        trajectory.append(state.best_so_far.fitness)
+        trajectory.append(state.best_fitness)
     return RunRecord(
         algorithm="lfwa",
         objective=objective.name,
         seed=config.seed,
         trajectory=np.asarray(trajectory),
-        final_best=state.best_so_far,
+        final_best=Individual(state.best_position, state.best_fitness),
         evaluations_used=objective.eval_count - evals_before,
     )

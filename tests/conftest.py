@@ -23,48 +23,57 @@ class ConstantRng:
         return np.full(size, float(self.normal_value))
 
     def integers(self, low, high, size=None):
-        value = min(max(self.integer_value, low), high - 1)
-        if size is None:
-            return int(value)
-        return np.full(size, int(value))
+        value = np.minimum(np.maximum(self.integer_value, low), np.asarray(high) - 1)
+        if size is not None:
+            return np.full(size, int(value))
+        return value.astype(int) if np.ndim(value) else int(value)
+
+
+def _bounds(low, high):
+    """Integer-draw bounds in a form that compares with ==, arrays included."""
+    return np.asarray(low).tolist(), np.asarray(high).tolist()
 
 
 class RecordingRng:
-    """Wraps a real stream and keeps a tape of every draw."""
+    """Wraps a real stream and keeps a tape of every draw: its kind, its
+    size, the bounds of an integer draw, and the values drawn."""
 
     def __init__(self, inner):
         self.inner = inner
         self.tape = []
 
-    def _record(self, kind, size, value):
+    def _record(self, kind, size, bounds, value):
         stored = value if np.isscalar(value) else np.array(value, copy=True)
-        self.tape.append((kind, size, stored))
+        self.tape.append((kind, size, bounds, stored))
         return value
 
     def uniform(self, size=None):
-        return self._record("uniform", size, self.inner.uniform(size))
+        return self._record("uniform", size, None, self.inner.uniform(size))
 
     def normal(self, size=None):
-        return self._record("normal", size, self.inner.normal(size))
+        return self._record("normal", size, None, self.inner.normal(size))
 
     def integers(self, low, high, size=None):
-        return self._record("integers", size, self.inner.integers(low, high, size))
+        return self._record("integers", size, _bounds(low, high),
+                            self.inner.integers(low, high, size))
 
 
 class ReplayRng:
-    """Plays a RecordingRng tape back, checking the call sequence matches."""
+    """Plays a RecordingRng tape back, checking the call sequence matches:
+    kind, size and integer bounds of every call."""
 
     def __init__(self, tape):
         self._tape = list(tape)
         self._pos = 0
 
-    def _next(self, kind, size):
+    def _next(self, kind, size, bounds=None):
+        call = f"{kind}(size={size}, bounds={bounds})"
         if self._pos >= len(self._tape):
-            raise AssertionError(f"tape exhausted at call {kind}(size={size})")
-        got_kind, got_size, value = self._tape[self._pos]
-        assert got_kind == kind and got_size == size, (
-            f"call {self._pos}: expected {got_kind}(size={got_size}), "
-            f"replayed {kind}(size={size})"
+            raise AssertionError(f"tape exhausted at call {call}")
+        got_kind, got_size, got_bounds, value = self._tape[self._pos]
+        assert (got_kind, got_size, got_bounds) == (kind, size, bounds), (
+            f"call {self._pos}: expected {got_kind}(size={got_size}, bounds={got_bounds}), "
+            f"replayed {call}"
         )
         self._pos += 1
         return value if np.isscalar(value) else np.array(value, copy=True)
@@ -76,7 +85,7 @@ class ReplayRng:
         return self._next("normal", size)
 
     def integers(self, low, high, size=None):
-        return self._next("integers", size)
+        return self._next("integers", size, _bounds(low, high))
 
     def assert_exhausted(self):
         assert self._pos == len(self._tape), (

@@ -262,10 +262,11 @@ def test_criterion_6_equation_level_oracle(population):
         state = lfwa_step(state, objective, config, recorder, trace=trace)
 
         replay = ReplayRng(recorder.tape)
+        core = before.core_index
         oracle = straight_line_generation(
-            fireworks=[(float(fw.position[0]), fw.fitness) for fw in before.fireworks],
-            pbest=[(float(p.position[0]), p.fitness) for p in before.pbest],
-            core=(float(before.core.position[0]), before.core.fitness),
+            fireworks=[(float(x), float(f)) for x, f in zip(before.fireworks[:, 0], before.fitness)],
+            pbest=[(float(x), float(f)) for x, f in zip(before.pbest[:, 0], before.pbest_fitness)],
+            core=(float(before.pbest[core, 0]), float(before.pbest_fitness[core])),
             evaluate=lambda x: x * x,
             lower=-100.0,
             upper=100.0,
@@ -280,17 +281,18 @@ def test_criterion_6_equation_level_oracle(population):
         assert list(trace.spark_counts) == oracle["spark_counts"]
         checks = [
             gap(trace.mean_intensity, oracle["mean_intensity"]),
-            gap([r[0] for r in trace.radii], oracle["radii"]),
-            gap([s[0] for s in trace.explosion_sparks_raw], oracle["raw_sparks"]),
-            gap([s[0] for s in trace.explosion_sparks_mapped], oracle["mapped_sparks"]),
-            gap([g[0] for g in trace.gaussian_sparks_raw], oracle["raw_mutants"]),
-            gap([g[0] for g in trace.gaussian_sparks_mapped], oracle["mapped_mutants"]),
-            gap([ind.position[0] for ind in trace.selected], [c[0] for c in oracle["selected"]]),
-            gap([ind.fitness for ind in trace.selected], [c[1] for c in oracle["selected"]]),
-            gap([p.fitness for p in state.pbest], [p[1] for p in oracle["pbest"]]),
-            gap(state.core.fitness, oracle["core"][1]),
+            gap(trace.radii[:, 0], oracle["radii"]),
+            gap(trace.explosion_sparks_raw[:, 0], oracle["raw_sparks"]),
+            gap(trace.explosion_sparks_mapped[:, 0], oracle["mapped_sparks"]),
+            gap(trace.gaussian_sparks_raw[:, 0], oracle["raw_mutants"]),
+            gap(trace.gaussian_sparks_mapped[:, 0], oracle["mapped_mutants"]),
+            gap(state.fireworks[:, 0], [c[0] for c in oracle["selected"]]),
+            gap(state.fitness, [c[1] for c in oracle["selected"]]),
+            gap(state.pbest_fitness, [p[1] for p in oracle["pbest"]]),
+            gap(state.pbest_fitness[state.core_index], oracle["core"][1]),
         ]
         assert trace.gaussian_parents == oracle["gaussian_parents"]
+        assert trace.selected.tolist() == oracle["selected_indices"]
         worst = max(worst, max(checks))
         assert worst <= 1e-12
 
@@ -322,23 +324,23 @@ def test_criterion_7_property_suite():
     config = RunConfig(population_size=5, max_iterations=80, seed=3)
     rng = RngStream(config.seed)
     state = initialize_state(objective, config, rng)
-    best = state.best_so_far.fitness
+    best = state.best_fitness
     for _ in range(config.max_iterations):
         trace = GenerationTrace()
         prev = state
         state = lfwa_step(state, objective, config, rng, trace=trace)
         for i, radius in enumerate(trace.radii):
             if trace.spark_counts[i] < trace.mean_intensity:
-                expected = prev.pbest[i].position - prev.fireworks[i].position
+                expected = prev.pbest[i] - prev.fireworks[i]
             else:
-                expected = prev.core.position - prev.fireworks[i].position
+                expected = prev.pbest[prev.core_index] - prev.fireworks[i]
             assert np.array_equal(radius, expected)
-        for pos in trace.explosion_sparks_mapped + trace.gaussian_sparks_mapped:
+        for pos in np.concatenate((trace.explosion_sparks_mapped, trace.gaussian_sparks_mapped)):
             assert objective.space.contains(pos)
-        assert state.best_so_far.fitness <= best
-        best = state.best_so_far.fitness
+        assert state.best_fitness <= best
+        best = state.best_fitness
         for i in range(config.population_size):
-            assert state.pbest[i].fitness <= state.fireworks[i].fitness
+            assert state.pbest_fitness[i] <= state.fitness[i]
 
     # mapping closure on adversarial positions
     space = SearchSpace.symmetric(1.0, 4)

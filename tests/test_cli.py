@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from litefwa.cli import _expand_functions, _function_slug, main
+from litefwa.cli import _expand_algorithms, _expand_functions, _function_slug, main
 
 
 def run_cli(args, tmp_path, capsys):
@@ -24,6 +24,28 @@ def test_expand_functions_range_and_list():
         _expand_functions("f42")
     with pytest.raises(ValueError, match="empty"):
         _expand_functions("f5..f2")
+
+
+def test_expand_rejects_duplicate_names():
+    with pytest.raises(ValueError, match="function given more than once: f7"):
+        _expand_functions("f7,f7")
+    with pytest.raises(ValueError, match="more than once: f3"):
+        _expand_functions("f1..f4,f3")
+    with pytest.raises(ValueError, match="algorithm given more than once: lfwa"):
+        _expand_algorithms("lfwa,spso,lfwa")
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--functions", "f7,f7"), ("--algorithms", "lfwa,lfwa")],
+)
+def test_compare_duplicate_names_are_usage_errors(option, value, tmp_path, capsys):
+    args = ["compare", "--algorithms", "lfwa", "--functions", "f7",
+            "--runs", "1", "--iterations", "5", "--jobs", "1", option, value]
+    code, _, err = run_cli(args, tmp_path, capsys)
+    assert code == 2
+    assert "given more than once" in err
+    assert list(tmp_path.iterdir()) == []  # nothing written
 
 
 def test_function_slug():

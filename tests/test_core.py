@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litefwa.core import (
     EvaluationError,
@@ -59,6 +61,57 @@ def test_rng_stream_ranges():
     assert set(ints) == {2, 3, 4}
 
 
+def _state(rng):
+    return rng._gen.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 60),
+    n=st.integers(1, 2**40),
+    before=st.integers(0, 3),
+)
+def test_rng_integers_array_low_equals_scalar_draws(seed, k, n, before):
+    # LFWA's batched Fisher-Yates shuffles rely on this identity; ``before``
+    # leaves a buffered 32-bit half-word in the stream first
+    n = max(n, k)
+    joined, single = RngStream(seed), RngStream(seed)
+    for rng in (joined, single):
+        for _ in range(before):
+            rng.integers(0, 7)
+    batch = joined.integers(np.arange(k), n)
+    assert isinstance(batch, np.ndarray) and batch.shape == (k,)
+    assert batch.tolist() == [single.integers(j, n) for j in range(k)]
+    assert _state(joined) == _state(single)
+    assert joined.uniform() == single.uniform() and joined.integers(0, 5) == single.integers(0, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    width=st.integers(1, 4),
+    interleave=st.booleans(),
+)
+def test_rng_uniform_split_equals_joined(seed, sizes, width, interleave):
+    # LFWA draws all displacement betas, and all repair betas, as one block
+    joined, split = RngStream(seed), RngStream(seed)
+    if interleave:  # a buffered 32-bit half-word must not disturb doubles
+        joined.integers(0, 9)
+        split.integers(0, 9)
+    block = joined.uniform(size=(sum(sizes), width))
+    parts = [split.uniform(size=(size, width)) for size in sizes]
+    assert np.array_equal(block, np.concatenate(parts))
+    assert _state(joined) == _state(split)
+
+
+def test_rng_integers_scalar_bounds_give_python_int():
+    value = RngStream(1).integers(0, 10)
+    assert type(value) is int
+    assert RngStream(1).integers(0, 10, size=3).shape == (3,)
+
+
 def test_run_config_defaults_and_validation():
     config = RunConfig()
     assert config.population_size == 5
@@ -77,9 +130,23 @@ def test_run_config_defaults_and_validation():
     with pytest.raises(ValueError):
         RunConfig(xi=0.0)
     with pytest.raises(ValueError):
+        RunConfig(population_size=0)
+    with pytest.raises(ValueError):
         RunConfig(max_iterations=-1)
     with pytest.raises(ValueError):
         RunConfig(gaussian_sparks_per_generation=0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_run_config_rejects_non_finite_tolerance(value):
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        RunConfig(tolerance=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_run_config_rejects_non_finite_or_nonpositive_xi(value):
+    with pytest.raises(ValueError, match="xi must be finite and positive"):
+        RunConfig(xi=value)
 
 
 def test_run_record_validation():

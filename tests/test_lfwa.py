@@ -1,6 +1,8 @@
 """Unit and property tests for the optimizer's individual operations and
 its one-generation step. Derived expectations are recomputed with scalar
-arithmetic independent of the vectorized implementation."""
+arithmetic independent of the vectorized implementation, and each batched
+operator is checked against its one-firework (or one-row) calls on the same
+stream."""
 
 import math
 
@@ -9,11 +11,10 @@ import pytest
 
 from conftest import ConstantRng
 from litefwa.benchmarks import Objective, make_objective
-from litefwa.core import Individual, RngStream, RunConfig, SearchSpace
+from litefwa.core import RngStream, RunConfig, SearchSpace
 from litefwa.lfwa import (
     GenerationTrace,
     LfwaState,
-    SparkSet,
     average_intensity,
     explosion_intensity,
     explosion_radius,
@@ -22,6 +23,7 @@ from litefwa.lfwa import (
     initialize_state,
     lfwa_run,
     lfwa_step,
+    map_batch_into_bounds,
     map_into_bounds,
     select_next_generation,
 )
@@ -93,6 +95,8 @@ def test_intensity_rejects_bad_inputs():
     with pytest.raises(ValueError):
         explosion_intensity([1.0, 2.0], 2, 0.0)
     with pytest.raises(ValueError):
+        explosion_intensity([1.0, 2.0], 2, float("nan"))
+    with pytest.raises(ValueError):
         explosion_intensity([1.0], 0, XI)
 
 
@@ -128,6 +132,18 @@ def test_radius_zero_when_firework_sits_on_attractor():
     assert np.array_equal(explosion_radius(x, x, np.ones(2), 1, 2.0), [0.0, 0.0])
 
 
+def test_radius_batch_rows_match_single_firework_calls():
+    sampler = np.random.default_rng(4)
+    x = sampler.normal(size=(5, 3))
+    pbest = sampler.normal(size=(5, 3))
+    core = sampler.normal(size=3)
+    counts = np.array([1, 4, 2, 5, 3])
+    radii = explosion_radius(x, pbest, core, counts, 3.0)
+    assert radii.shape == (5, 3)
+    for i in range(5):
+        assert np.array_equal(radii[i], explosion_radius(x[i], pbest[i], core, counts[i], 3.0))
+
+
 # ------------------------------------------------------------------ sparks
 
 
@@ -154,6 +170,20 @@ def test_sparks_stay_in_displacement_box_property():
         sparks = generate_explosion_sparks(x, radius, 3, rng)
         assert sparks.shape == (3, 3)
         assert np.all(sparks >= lo) and np.all(sparks <= hi)
+
+
+@pytest.mark.parametrize("scalar_beta", [False, True])
+def test_sparks_batch_equals_consecutive_single_firework_calls(scalar_beta):
+    sampler = np.random.default_rng(5)
+    x = sampler.normal(size=(4, 3))
+    radius = sampler.normal(size=(4, 3))
+    counts = np.array([3, 1, 4, 2])
+    batch = generate_explosion_sparks(x, radius, counts, RngStream(8), scalar_beta)
+    rng = RngStream(8)
+    rows = [generate_explosion_sparks(x[i], radius[i], counts[i], rng, scalar_beta)
+            for i in range(4)]
+    assert batch.shape == (10, 3)
+    assert np.array_equal(batch, np.concatenate(rows))  # grouped by firework, bit for bit
 
 
 def test_sparks_scalar_beta_moves_all_dimensions_together():
@@ -222,6 +252,15 @@ def test_mapping_redraws_only_violating_dimensions_property():
         assert out[1] == 0.0
 
 
+def test_mapping_batch_equals_row_by_row_mapping():
+    space = SearchSpace(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 3.0]))
+    positions = np.random.default_rng(6).uniform(-10, 10, size=(40, 3))
+    batch = map_batch_into_bounds(positions, space, RngStream(12))
+    rng = RngStream(12)
+    rows = [map_into_bounds(row, space, rng) for row in positions]
+    assert np.array_equal(batch, np.array(rows))
+
+
 def test_mapping_result_always_within_box_property():
     space = SearchSpace(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 3.0]))
     rng = RngStream(77)
@@ -235,59 +274,60 @@ def test_mapping_result_always_within_box_property():
 # --------------------------------------------------------------- selection
 
 
-def _individuals(values):
-    return [Individual(np.array([float(v)]), float(v)) for v in values]
-
-
-def _spark_set(explosion_values, gaussian_values, counts):
-    return SparkSet(
-        tuple(_individuals(explosion_values)),
-        tuple(_individuals(gaussian_values)),
-        np.asarray(counts),
-    )
-
-
 def test_selection_keeps_the_best_candidate_first():
-    fireworks = _individuals([5.0, 6.0])
-    pbest = _individuals([4.0, 5.5])
-    core = _individuals([4.0])[0]
-    sparks = _spark_set([3.0, -1.0316285, 7.0], [8.0], [2, 1])
+    # fireworks, pbest, core, explosion sparks, Gaussian sparks
+    fitness = np.array([5.0, 6.0, 4.0, 5.5, 4.0, 3.0, -1.0316285, 7.0, 8.0])
     for seed in range(20):
-        out = select_next_generation(fireworks, pbest, core, sparks, 2, RngStream(seed))
-        assert out[0].fitness == -1.0316285
+        out = select_next_generation(fitness, 2, RngStream(seed))
+        assert out[0] == 6
+        assert fitness[out[0]] == -1.0316285
         assert len(out) == 2
 
 
+def test_selection_elite_is_the_first_of_tied_minima():
+    out = select_next_generation(np.array([2.0, 1.0, 3.0, 1.0]), 3, RngStream(0))
+    assert out[0] == 1
+
+
 def test_selection_all_identical_candidates():
-    fireworks = _individuals([2.0, 2.0])
-    pbest = _individuals([2.0, 2.0])
-    core = _individuals([2.0])[0]
-    sparks = _spark_set([2.0, 2.0], [2.0], [1, 1])
-    out = select_next_generation(fireworks, pbest, core, sparks, 2, RngStream(0))
-    assert all(ind.fitness == 2.0 for ind in out)
+    fitness = np.full(7, 2.0)
+    out = select_next_generation(fitness, 2, RngStream(0))
+    assert np.all(fitness[out] == 2.0)
 
 
 def test_selection_samples_distinct_non_elite_candidates():
     # 30 candidates total: 5 fireworks + 5 pbest + core + 15 explosion + 4 gaussian
-    fireworks = _individuals(range(10, 15))
-    pbest = _individuals(range(5, 10))
-    core = _individuals([5.0])[0]
-    sparks = _spark_set(range(30, 45), range(50, 54), [3, 3, 3, 3, 3])
+    fitness = np.concatenate(
+        [np.arange(10, 15), np.arange(5, 10), [5.0], np.arange(30, 45), np.arange(50, 54)]
+    ).astype(float)
     for seed in range(50):
-        out = select_next_generation(fireworks, pbest, core, sparks, 5, RngStream(seed))
+        out = select_next_generation(fitness, 5, RngStream(seed))
         assert len(out) == 5
-        assert out[0].fitness == 5.0
-        ids = [id(ind) for ind in out]
-        assert len(set(ids)) == 5  # elite plus 4 distinct picks
+        assert fitness[out[0]] == 5.0
+        assert len(set(out.tolist())) == 5  # elite plus 4 distinct picks
+        assert np.all((out >= 0) & (out < fitness.size))
+
+
+def test_selection_matches_scalar_fisher_yates_on_the_pool():
+    # transcribed: the pool lists every candidate but the elite, in order,
+    # and swap j draws its partner from [j, len(pool)) one call at a time
+    fitness = np.random.default_rng(7).normal(size=25)
+    for seed in range(30):
+        out = select_next_generation(fitness, 6, RngStream(seed))
+        elite = int(np.argmin(fitness))
+        pool = [i for i in range(25) if i != elite]
+        rng = RngStream(seed)
+        for j in range(5):
+            swap = rng.integers(j, len(pool))
+            pool[j], pool[swap] = pool[swap], pool[j]
+        assert out.tolist() == [elite] + pool[:5]
 
 
 def test_selection_small_pool_falls_back_to_replacement():
-    fireworks = _individuals([1.0, 2.0])
-    pbest = fireworks
-    core = fireworks[0]
-    sparks = SparkSet((), (), np.array([]))
-    out = select_next_generation(fireworks[:1], (), fireworks[0], sparks, 4, RngStream(1))
+    out = select_next_generation(np.array([1.0, 1.0]), 4, RngStream(1))
     assert len(out) == 4
+    assert out[0] == 0 and np.all(out[1:] == 1)
+    assert select_next_generation(np.array([3.0]), 3, RngStream(1)).tolist() == [0, 0, 0]
 
 
 # -------------------------------------------------------------------- step
@@ -302,21 +342,22 @@ def test_step_monotone_best_over_200_generations():
     objective = sphere_objective(2)
     config = RunConfig(population_size=5, seed=0)
     state, rng = make_state(objective, config, 0)
-    previous = state.best_so_far.fitness
+    previous = state.best_fitness
     for _ in range(200):
         state = lfwa_step(state, objective, config, rng)
-        assert state.best_so_far.fitness <= previous
-        previous = state.best_so_far.fitness
+        assert state.best_fitness <= previous
+        assert objective.evaluate(state.best_position) == state.best_fitness
+        previous = state.best_fitness
 
 
 def test_step_flat_objective_changes_nothing_about_best():
     objective = constant_objective(3)
     config = RunConfig(population_size=4, seed=5)
     state, rng = make_state(objective, config, 5)
-    start = state.best_so_far.fitness
+    start = state.best_fitness
     for _ in range(30):
         state = lfwa_step(state, objective, config, rng)
-    assert state.best_so_far.fitness == start
+    assert state.best_fitness == start
 
 
 def test_step_invariants_pbest_dominance_core_and_bounds():
@@ -327,12 +368,15 @@ def test_step_invariants_pbest_dominance_core_and_bounds():
         trace = GenerationTrace()
         state = lfwa_step(state, objective, config, rng, trace=trace)
         for i in range(config.population_size):
-            assert state.pbest[i].fitness <= state.fireworks[i].fitness
-        assert state.core.fitness == min(p.fitness for p in state.pbest)
-        for ind in state.fireworks:
-            assert objective.space.contains(ind.position)
-        for pos in trace.explosion_sparks_mapped + trace.gaussian_sparks_mapped:
+            assert state.pbest_fitness[i] <= state.fitness[i]
+        assert state.pbest_fitness[state.core_index] == min(state.pbest_fitness)
+        for position in state.fireworks:
+            assert objective.space.contains(position)
+        for pos in np.concatenate((trace.explosion_sparks_mapped, trace.gaussian_sparks_mapped)):
             assert objective.space.contains(pos)
+        # every row's fitness is its objective value
+        assert np.array_equal(objective.evaluate_many(state.fireworks), state.fitness)
+        assert np.array_equal(objective.evaluate_many(state.pbest), state.pbest_fitness)
 
 
 def test_step_branch_rule_follows_intensity_vs_mean():
@@ -343,14 +387,14 @@ def test_step_branch_rule_follows_intensity_vs_mean():
         trace = GenerationTrace()
         fireworks_before = state.fireworks
         pbest_before = state.pbest
-        core_before = state.core
+        core_before = state.pbest[state.core_index]
         state = lfwa_step(state, objective, config, rng, trace=trace)
         s_avg = trace.mean_intensity
         for i, radius in enumerate(trace.radii):
             if trace.spark_counts[i] < s_avg:
-                expected = pbest_before[i].position - fireworks_before[i].position
+                expected = pbest_before[i] - fireworks_before[i]
             else:
-                expected = core_before.position - fireworks_before[i].position
+                expected = core_before - fireworks_before[i]
             assert np.array_equal(radius, expected)
 
 
@@ -358,18 +402,24 @@ def test_step_optimal_core_is_never_displaced():
     objective = sphere_objective(2)
     config = RunConfig(population_size=4, seed=2)
     state, rng = make_state(objective, config, 2)
-    perfect = Individual(np.zeros(2), 0.0)
+    pbest = state.pbest.copy()
+    pbest[0] = 0.0
+    pbest_fitness = state.pbest_fitness.copy()
+    pbest_fitness[0] = 0.0
     state = LfwaState(
         fireworks=state.fireworks,
-        pbest=(perfect,) + state.pbest[1:],
-        core=perfect,
+        fitness=state.fitness,
+        pbest=pbest,
+        pbest_fitness=pbest_fitness,
+        best_position=np.zeros(2),
+        best_fitness=0.0,
         iteration=state.iteration,
-        best_so_far=perfect,
     )
     for _ in range(50):
         state = lfwa_step(state, objective, config, rng)
-        assert state.core.fitness == 0.0
-        assert state.best_so_far.fitness == 0.0
+        assert state.pbest_fitness[state.core_index] == 0.0
+        assert np.array_equal(state.pbest[state.core_index], np.zeros(2))
+        assert state.best_fitness == 0.0
 
 
 def test_step_spark_set_sizes_match_counts():
@@ -378,8 +428,25 @@ def test_step_spark_set_sizes_match_counts():
     state, rng = make_state(objective, config, 6)
     trace = GenerationTrace()
     lfwa_step(state, objective, config, rng, trace=trace)
-    assert len(trace.explosion_sparks_mapped) == int(trace.spark_counts.sum())
-    assert len(trace.gaussian_sparks_mapped) == 3
+    assert trace.explosion_sparks_mapped.shape == (int(trace.spark_counts.sum()), 4)
+    assert trace.gaussian_sparks_mapped.shape == (3, 4)
+    assert len(trace.gaussian_parents) == 3
+
+
+def test_step_selected_rows_come_from_the_candidate_set():
+    objective = sphere_objective(3)
+    config = RunConfig(population_size=5, seed=4)
+    state, rng = make_state(objective, config, 4)
+    for _ in range(20):
+        trace = GenerationTrace()
+        before = state
+        state = lfwa_step(state, objective, config, rng, trace=trace)
+        core = before.core_index
+        candidates = np.concatenate((before.fireworks, before.pbest, before.pbest[core : core + 1],
+                                     trace.explosion_sparks_mapped, trace.gaussian_sparks_mapped))
+        assert np.array_equal(state.fireworks, candidates[trace.selected])
+        assert trace.selected[0] == np.argmin(objective.evaluate_many(candidates))
+        assert state.iteration == before.iteration + 1
 
 
 # --------------------------------------------------------------------- run

@@ -2,13 +2,19 @@
 
 Everything here is recomputed with plain scalar Python (math module, no
 vectorized shortcuts) for the 1-d case, consuming random draws from a
-recorded tape in the engine's documented order:
+recorded tape in the engine's documented order, one call per batch:
 
-  1. per firework i: the uniform beta block for its spark displacements
-  2. per Gaussian mutant: parent index, n, dimension picks, one normal
-  3. per explosion spark then per mutant: mapping betas for violations
-  4. selection: the partial-shuffle integer draws
+  1. one uniform block of shape (sum of counts, 1), or (sum of counts,)
+     with scalar_beta: the displacement betas, firework by firework
+  2. per Gaussian mutant: parent index, n, one integer draw with low
+     [0, .., n-1] for the dimension swaps, one normal
+  3. one uniform block with one beta per violated coordinate, explosion
+     sparks first, then mutants (no call when nothing is out of bounds)
+  4. selection: one integer draw with low [0, .., M-2] for the partial
+     Fisher-Yates swaps
 
+The tape replay checks the kind, size and integer bounds of every call, so
+a change to how draws are batched fails here even when the values agree.
 The result is a dictionary of every intermediate quantity, compared by the
 tests against the engine's GenerationTrace.
 """
@@ -41,19 +47,19 @@ def straight_line_generation(fireworks, pbest, core, evaluate, lower, upper, con
         else:
             radii.append(core[0] - fireworks[i][0])
 
-    # displacement: one uniform block per firework, spark = x + beta * radius
+    # displacement: one uniform block for every spark, spark = x + beta * radius
+    total = sum(counts)
+    if config.scalar_beta:
+        betas = [float(b) for b in rng.uniform(size=total)]
+    else:
+        betas = [float(row[0]) for row in rng.uniform(size=(total, 1))]
     raw_sparks = []
     for i in range(m):
-        if config.scalar_beta:
-            betas = rng.uniform(size=counts[i])
-        else:
-            betas = rng.uniform(size=(counts[i], 1))
-        for j in range(counts[i]):
-            beta = float(betas[j]) if config.scalar_beta else float(betas[j][0])
-            raw_sparks.append(fireworks[i][0] + beta * radii[i])
+        for _ in range(counts[i]):
+            raw_sparks.append(fireworks[i][0] + betas[len(raw_sparks)] * radii[i])
 
-    # Gaussian mutants: parent pick, n = 1 (single dimension), dimension
-    # shuffle, then one shared factor
+    # Gaussian mutants: parent pick, n = 1 (single dimension), the
+    # one-swap dimension shuffle, then one shared factor
     parents = []
     raw_mutants = []
     for _ in range(config.gaussian_spark_count):
@@ -61,15 +67,21 @@ def straight_line_generation(fireworks, pbest, core, evaluate, lower, upper, con
         parents.append(parent)
         n = rng.integers(1, 2)
         assert n == 1
-        rng.integers(0, 1)  # the single-dimension shuffle draw
+        assert list(rng.integers([0], 1)) == [0]  # the single-dimension swap
         factor = rng.normal() + 1.0
         raw_mutants.append(fireworks[parent][0] * factor)
 
-    # mapping: violated coordinates are redrawn as lower + beta * width
+    # mapping: violated coordinates are redrawn as lower + beta * width,
+    # one beta per violation in order, all from one draw
+    def violated(value):
+        return value < lower or value > upper
+
+    n_violations = sum(violated(v) for v in raw_sparks + raw_mutants)
+    map_betas = [float(b) for b in rng.uniform(size=n_violations)] if n_violations else []
+
     def mapped(value):
-        if value < lower or value > upper:
-            beta = float(rng.uniform(size=1)[0])
-            return lower + beta * (upper - lower)
+        if violated(value):
+            return lower + map_betas.pop(0) * (upper - lower)
         return value
 
     mapped_sparks = [mapped(s) for s in raw_sparks]
@@ -91,8 +103,9 @@ def straight_line_generation(fireworks, pbest, core, evaluate, lower, upper, con
         if candidates[i][1] < candidates[elite][1]:
             elite = i
     pool = [i for i in range(len(candidates)) if i != elite]
+    swaps = rng.integers(list(range(m - 1)), len(pool))
     for j in range(m - 1):
-        swap = rng.integers(j, len(pool))
+        swap = int(swaps[j])
         pool[j], pool[swap] = pool[swap], pool[j]
     selected = [candidates[elite]] + [candidates[i] for i in pool[: m - 1]]
 
@@ -107,6 +120,7 @@ def straight_line_generation(fireworks, pbest, core, evaluate, lower, upper, con
 
     return {
         "spark_counts": counts,
+        "selected_indices": [elite] + pool[: m - 1],
         "mean_intensity": s_avg,
         "radii": radii,
         "raw_sparks": raw_sparks,
