@@ -167,11 +167,9 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
             probs = weights / weight_sum
         cumulative = np.cumsum(probs)
         pool_indices = np.flatnonzero(pool)
-        picks = [
-            pool_indices[min(int(np.searchsorted(cumulative, rng.uniform())), weights.size - 1)]
-            for _ in range(m - 1)
-        ]
-        keep = [elite] + picks
+        spins = np.asarray(rng.uniform(size=m - 1))
+        picks = pool_indices[np.minimum(np.searchsorted(cumulative, spins), weights.size - 1)]
+        keep = np.concatenate(([elite], picks))
         positions = cand_positions[keep].copy()
         fitness = cand_fitness[keep].copy()
         trajectory.append(best.fitness)
@@ -243,45 +241,58 @@ def spso_run(objective: Objective, params: SpsoParams, config: RunConfig) -> Run
 def ba_run(objective: Objective, params: BaParams, config: RunConfig) -> RunRecord:
     """Bat algorithm: frequency-tuned velocities toward the global best,
     a loudness-scaled local walk taken with the (growing) pulse rate, and
-    loudness-gated acceptance of improvements."""
+    loudness-gated acceptance of improvements.
+
+    Bats move one after another, each toward the best found so far,
+    including by the bats before it in the same iteration. Per bat the
+    draws are: the frequency, the pulse test, ``d`` normals when the pulse
+    fires, one uniform per out-of-bounds coordinate, and the acceptance
+    test only when the candidate is no worse than the bat's position.
+    """
     rng = RngStream(config.seed)
     evals_before = objective.eval_count
     n = params.population
     d = objective.dim
     space = objective.space
+    frequency_span = params.frequency_max - params.frequency_min
 
     positions = _init_positions(objective, n, rng)
-    fitness = objective.evaluate_many(positions)
+    fitness = objective.evaluate_many(positions).tolist()
     velocities = np.zeros_like(positions)
     loudness = np.full(n, params.loudness)
     g = int(np.argmin(fitness))
-    best = Individual(positions[g].copy(), fitness[g])
-    trajectory = [best.fitness]
+    best_position = positions[g].copy()
+    best_fitness = fitness[g]
+    trajectory = [best_fitness]
 
     for t in range(1, config.max_iterations + 1):
         pulse = params.pulse_rate * (1.0 - np.exp(-params.pulse_growth * t))
         for i in range(n):
-            freq = params.frequency_min + (params.frequency_max - params.frequency_min) * rng.uniform()
-            velocities[i] = velocities[i] + (positions[i] - best.position) * freq
-            candidate = positions[i] + velocities[i]
+            freq = params.frequency_min + frequency_span * rng.uniform()
+            velocity = velocities[i]
+            velocity += (positions[i] - best_position) * freq
             if rng.uniform() < pulse:
                 step = np.asarray(rng.normal(size=d))
-                candidate = best.position + params.local_step_scale * loudness.mean() * step
+                candidate = best_position + params.local_step_scale * loudness.mean() * step
+            else:
+                candidate = positions[i] + velocity
+            # A fresh array: the best may keep it without a copy.
             candidate = map_into_bounds(candidate, space, rng)
             value = objective.evaluate(candidate)
             if value <= fitness[i] and rng.uniform() < loudness[i]:
                 positions[i] = candidate
                 fitness[i] = value
                 loudness[i] *= params.loudness_decay
-            if value < best.fitness:
-                best = Individual(candidate.copy(), value)
-        trajectory.append(best.fitness)
+            if value < best_fitness:
+                best_position = candidate
+                best_fitness = value
+        trajectory.append(best_fitness)
 
     return RunRecord(
         algorithm="ba",
         objective=objective.name,
         seed=config.seed,
         trajectory=np.asarray(trajectory),
-        final_best=best,
+        final_best=Individual(best_position, best_fitness),
         evaluations_used=objective.eval_count - evals_before,
     )

@@ -17,6 +17,7 @@ optimum of 0 is kept for success-rate bookkeeping, and the contradiction
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,18 +57,23 @@ class Objective:
     eval_count: int = 0
 
     def evaluate(self, position) -> float:
-        """Evaluate one position, incrementing the evaluation counter by 1."""
-        values = self.evaluate_many(np.asarray(position, dtype=float)[None, :])
-        return float(values[0])
+        """Evaluate one position of shape ``(dim,)``, incrementing the
+        evaluation counter by 1; the value equals ``evaluate_many`` on the
+        position as a one-row batch."""
+        position = np.asarray(position, dtype=float)
+        if position.shape != (self.dim,):
+            raise self._shape_error(position)
+        value = float(self.func(position[None, :])[0])
+        self.eval_count += 1
+        if not math.isfinite(value):
+            raise EvaluationError(f"{self.name} returned non-finite value {value!r}", position)
+        return value
 
     def evaluate_many(self, positions) -> np.ndarray:
         """Evaluate a batch of positions, one counter increment per row."""
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != self.dim:
-            raise ValueError(
-                f"{self.name} expects positions of dimension {self.dim}, "
-                f"got array of shape {positions.shape}"
-            )
+            raise self._shape_error(positions)
         values = np.asarray(self.func(positions), dtype=float)
         self.eval_count += len(positions)
         bad = ~np.isfinite(values)
@@ -78,15 +84,27 @@ class Objective:
             )
         return values
 
+    def _shape_error(self, positions: np.ndarray) -> ValueError:
+        return ValueError(
+            f"{self.name} expects positions of dimension {self.dim}, "
+            f"got array of shape {positions.shape}"
+        )
+
     @property
     def metadata(self) -> dict:
-        """Registry metadata as plain values, for reports and provenance files."""
+        """Registry metadata as plain values, for reports and provenance files.
+
+        ``lower``/``upper`` are single numbers when every dimension shares
+        them, as in the registry's boxes, and per-dimension lists otherwise.
+        """
+        lower, upper = self.space.lower, self.space.upper
+        uniform = bool(np.all(lower == lower[0]) and np.all(upper == upper[0]))
         return {
             "name": self.name,
             "label": self.label,
             "dim": self.dim,
-            "lower": float(self.space.lower[0]),
-            "upper": float(self.space.upper[0]),
+            "lower": float(lower[0]) if uniform else lower.tolist(),
+            "upper": float(upper[0]) if uniform else upper.tolist(),
             "declared_optimum": self.declared_optimum,
             "formula_note": self.formula_note,
             "source_label": self.source_label,
@@ -95,36 +113,49 @@ class Objective:
         }
 
 
+# The kernels call the ufunc reductions directly: np.sum, np.prod and np.mean
+# run the same reductions (and np.mean the same true division) behind a
+# Python wrapper whose cost exceeds the arithmetic on the single rows that
+# the bat algorithm evaluates.
+
+
 def _sphere(x: np.ndarray) -> np.ndarray:
-    return np.sum(x * x, axis=1)
+    return np.add.reduce(x * x, axis=1)
 
 
 def _rosenbrock(x: np.ndarray) -> np.ndarray:
-    return np.sum(100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (x[:, :-1] - 1.0) ** 2, axis=1)
+    return np.add.reduce(
+        100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (x[:, :-1] - 1.0) ** 2, axis=1
+    )
 
 
 def _rastrigin(x: np.ndarray) -> np.ndarray:
-    return np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=1)
+    return np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=1)
 
 
 def _griewank(x: np.ndarray) -> np.ndarray:
     i = np.arange(1, x.shape[1] + 1, dtype=float)
-    return np.sum(x * x, axis=1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=1) + 1.0
+    return (
+        np.add.reduce(x * x, axis=1) / 4000.0
+        - np.multiply.reduce(np.cos(x / np.sqrt(i)), axis=1)
+        + 1.0
+    )
 
 
 def _ackley(x: np.ndarray) -> np.ndarray:
     # Term order matters at convergence: evaluated left to right this form
     # bottoms out at a few ulps of e instead of exactly 0.
+    n = x.shape[1]
     return (
-        -20.0 * np.exp(-0.2 * np.sqrt(np.mean(x * x, axis=1)))
-        - np.exp(np.mean(np.cos(2.0 * np.pi * x), axis=1))
+        -20.0 * np.exp(-0.2 * np.sqrt(np.add.reduce(x * x, axis=1) / n))
+        - np.exp(np.add.reduce(np.cos(2.0 * np.pi * x), axis=1) / n)
         + 20.0
         + np.e
     )
 
 
 def _schwefel_as_circulated(x: np.ndarray) -> np.ndarray:
-    return np.sum(-x * np.sin(np.sqrt(np.abs(x))), axis=1)
+    return np.add.reduce(-x * np.sin(np.sqrt(np.abs(x))), axis=1)
 
 
 def _six_hump_camel_back(x: np.ndarray) -> np.ndarray:

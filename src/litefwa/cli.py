@@ -81,12 +81,18 @@ def _function_slug(functions: list[str]) -> str:
 
 
 def _output_base(args, verb: str, algorithms: list[str], functions: list[str]) -> str:
-    if args.output:
-        return args.output
-    return (
+    """The output base path; checked before any run, so that a directory
+    that cannot take the files fails the command before the compute."""
+    base = args.output or (
         f"{verb}_{'+'.join(algorithms)}_{_function_slug(functions)}"
         f"_r{args.runs}_i{args.iterations}_s{args.seed}"
     )
+    directory = os.path.dirname(base) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"output directory {directory!r} is not an existing directory")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ValueError(f"output directory {directory!r} is not writable")
+    return base
 
 
 def _build_config(args) -> RunConfig:
@@ -168,8 +174,8 @@ def cmd_run(args) -> int:
     functions = _expand_functions(args.function)
     if len(algorithms) != 1 or len(functions) != 1:
         raise ValueError("run takes exactly one algorithm and one function; use compare for grids")
-    rows, all_records, provenance = _run_grid(args, algorithms, functions)
     base = _output_base(args, "run", algorithms, functions)
+    rows, all_records, provenance = _run_grid(args, algorithms, functions)
     written = _write_summary(args, base, rows)
     records = all_records[(algorithms[0], functions[0])]
     curves = harness.export_curves(records, transform=args.transform)
@@ -184,8 +190,8 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     algorithms = _expand_algorithms(args.algorithms)
     functions = _expand_functions(args.functions)
-    rows, _, provenance = _run_grid(args, algorithms, functions)
     base = _output_base(args, "compare", algorithms, functions)
+    rows, _, provenance = _run_grid(args, algorithms, functions)
     written = _write_summary(args, base, rows)
     harness.write_provenance_json(f"{base}_provenance.json", provenance)
     written.append(f"{base}_provenance.json")
@@ -199,8 +205,8 @@ def cmd_curve(args) -> int:
     functions = _expand_functions(args.function)
     if len(algorithms) != 1 or len(functions) != 1:
         raise ValueError("curve takes exactly one algorithm and one function")
-    rows, all_records, provenance = _run_grid(args, algorithms, functions)
     base = _output_base(args, "curve", algorithms, functions)
+    rows, all_records, provenance = _run_grid(args, algorithms, functions)
     records = all_records[(algorithms[0], functions[0])]
     curves = harness.export_curves(records, transform=args.transform)
     harness.write_curves_csv(f"{base}_curves.csv", curves)

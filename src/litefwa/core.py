@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,10 +18,12 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Axis-aligned box bounds, one (lower, upper) pair per dimension."""
+    """Axis-aligned box bounds, one (lower, upper) pair per dimension;
+    ``width`` is ``upper - lower``, computed once."""
 
     lower: np.ndarray
     upper: np.ndarray
+    width: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -32,14 +34,11 @@ class SearchSpace:
             raise ValueError("each lower bound must be strictly below its upper bound")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "width", upper - lower)
 
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
 
     @classmethod
     def symmetric(cls, half_width: float, dim: int) -> "SearchSpace":

@@ -2,11 +2,15 @@
 independent oracles for the two non-trivial entries (f7 located by dense
 grid plus local refinement, f6's true floor by 1-d dense grid)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litefwa.benchmarks import ObjectiveLookupError, make_objective, objective_names
-from litefwa.core import EvaluationError
+from litefwa.core import EvaluationError, SearchSpace
 
 EXPECTED_METADATA = {
     # name: (label, dim, half_width, declared_optimum)
@@ -77,8 +81,90 @@ def test_dimension_mismatch_raises():
 def test_non_finite_value_raises_evaluation_error():
     obj = make_objective("f1")
     obj.func = lambda x: np.full(len(x), np.nan)
-    with pytest.raises(EvaluationError):
-        obj.evaluate(np.zeros(30))
+    x = np.linspace(-1.0, 1.0, 30)
+    with pytest.raises(EvaluationError) as info:
+        obj.evaluate(x)
+    assert np.array_equal(info.value.position, x)
+    assert obj.eval_count == 1
+
+
+@st.composite
+def in_box_points(draw):
+    """A registry function name and a point inside its (uniform) box."""
+    name = draw(st.sampled_from(objective_names()))
+    obj = make_objective(name)
+    coordinate = st.floats(obj.space.lower[0], obj.space.upper[0], allow_nan=False)
+    return name, draw(st.lists(coordinate, min_size=obj.dim, max_size=obj.dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=in_box_points())
+def test_evaluate_equals_one_row_batch(case):
+    name, point = case
+    obj = make_objective(name)
+    x = np.asarray(point)
+    value = obj.evaluate(x)
+    assert obj.eval_count == 1
+    assert obj.evaluate(point) == value  # a list is accepted
+    assert obj.eval_count == 2
+    batch = obj.evaluate_many(x[None])
+    assert np.float64(value).tobytes() == batch[0].tobytes()
+
+
+@pytest.mark.parametrize("name", objective_names())
+def test_evaluate_rejects_every_other_shape(name):
+    obj = make_objective(name)
+    for shape in [(obj.dim + 1,), (1, obj.dim), ()]:
+        with pytest.raises(ValueError, match=f"dimension {obj.dim}, got array of shape"):
+            obj.evaluate(np.zeros(shape))
+    assert obj.eval_count == 0
+
+
+# The registry's kernels written with the numpy wrappers they replaced.
+WRAPPER_KERNELS = {
+    "f1": lambda x: np.sum(x * x, axis=1),
+    "f2": lambda x: np.sum(
+        100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (x[:, :-1] - 1.0) ** 2, axis=1
+    ),
+    "f3": lambda x: np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=1),
+    "f4": lambda x: (
+        np.sum(x * x, axis=1) / 4000.0
+        - np.prod(np.cos(x / np.sqrt(np.arange(1, x.shape[1] + 1, dtype=float))), axis=1)
+        + 1.0
+    ),
+    "f5": lambda x: (
+        -20.0 * np.exp(-0.2 * np.sqrt(np.mean(x * x, axis=1)))
+        - np.exp(np.mean(np.cos(2.0 * np.pi * x), axis=1))
+        + 20.0
+        + np.e
+    ),
+    "f6": lambda x: np.sum(-x * np.sin(np.sqrt(np.abs(x))), axis=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPER_KERNELS))
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_kernels_equal_their_wrapper_form_bit_for_bit(name, rows):
+    obj = make_objective(name)
+    x = np.random.default_rng(rows).uniform(obj.space.lower, obj.space.upper, (rows, obj.dim))
+    assert obj.evaluate_many(x).tobytes() == WRAPPER_KERNELS[name](x).tobytes()
+
+
+def test_metadata_keeps_scalar_bounds_on_uniform_boxes():
+    meta = make_objective("f7").metadata
+    assert (meta["lower"], meta["upper"]) == (-5.0, 5.0)
+
+
+def test_metadata_lists_bounds_of_a_non_uniform_box():
+    space = SearchSpace(np.array([-5.0, 0.0]), np.array([10.0, 15.0]))
+    obj = dataclasses.replace(make_objective("f7"), space=space)
+    meta = obj.metadata
+    assert meta["lower"] == [-5.0, 0.0]
+    assert meta["upper"] == [10.0, 15.0]
+    # a box with only one side uniform is still reported per dimension
+    space = SearchSpace(np.array([-5.0, -5.0]), np.array([10.0, 15.0]))
+    meta = dataclasses.replace(obj, space=space).metadata
+    assert (meta["lower"], meta["upper"]) == ([-5.0, -5.0], [10.0, 15.0])
 
 
 def test_purity_bitwise_repeatable():

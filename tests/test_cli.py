@@ -185,3 +185,28 @@ def test_output_override(tmp_path, capsys):
     assert (tmp_path / "custom_summary.csv").exists()
     assert (tmp_path / "custom_curves.csv").exists()
     assert (tmp_path / "custom_provenance.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--algorithm", "lfwa", "--function", "f7"],
+        ["compare", "--algorithms", "lfwa,ba", "--functions", "f7"],
+        ["curve", "--algorithm", "ba", "--function", "f7"],
+    ],
+    ids=["run", "compare", "curve"],
+)
+def test_missing_output_directory_fails_before_any_run(args, tmp_path, capsys, monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("an experiment ran before the output directory was checked")
+
+    monkeypatch.setattr("litefwa.harness.run_experiment", no_runs)
+    code, out, err = run_cli(
+        args + ["--runs", "1", "--iterations", "5", "--jobs", "1",
+                "--output", os.path.join("missing", "base")],
+        tmp_path, capsys,
+    )
+    assert code == 2
+    assert "output directory 'missing' is not an existing directory" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
