@@ -9,11 +9,11 @@ from .core import (
     RunConfig,
     RunRecord,
     SearchSpace,
+    map_into_bounds,
 )
 from .harness import (
     ALGORITHMS,
     ExperimentSummary,
-    default_params,
     export_curves,
     run_experiment,
     summarize,
@@ -28,7 +28,6 @@ from .lfwa import (
     generate_explosion_sparks,
     lfwa_run,
     lfwa_step,
-    map_into_bounds,
     select_next_generation,
 )
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import Objective
-from .core import Individual, RngStream, RunConfig, RunRecord
-from .lfwa import map_batch_into_bounds, map_into_bounds
+from .core import Individual, RngStream, RunConfig, RunRecord, map_into_bounds
 
 __all__ = ["FwaParams", "SpsoParams", "BaParams", "fwa_run", "spso_run", "ba_run"]
 
@@ -85,10 +84,6 @@ class BaParams:
             raise ValueError("pulse_growth must be positive")
 
 
-def _init_positions(objective: Objective, count: int, rng: RngStream) -> np.ndarray:
-    return np.asarray([objective.space.sample(rng) for _ in range(count)])
-
-
 def _random_dim_masks(rows: int, dim: int, per_row_counts: np.ndarray, rng: RngStream) -> np.ndarray:
     """Boolean (rows, dim) mask with exactly per_row_counts[k] True entries
     per row, each subset uniform; one batched draw."""
@@ -111,7 +106,7 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
     low_clamp = int(round(params.intensity_min_fraction * budget))
     high_clamp = int(round(params.intensity_max_fraction * budget))
 
-    positions = _init_positions(objective, m, rng)
+    positions = objective.space.sample(rng, m)
     fitness = objective.evaluate_many(positions)
     best_idx = int(np.argmin(fitness))
     best = Individual(positions[best_idx].copy(), fitness[best_idx])
@@ -144,7 +139,7 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
         factors = 1.0 + np.asarray(rng.normal(size=g))
         mutants = np.where(g_masks, mutants * factors[:, None], mutants)
 
-        new_positions = map_batch_into_bounds(np.vstack([sparks, mutants]), objective.space, rng)
+        new_positions = map_into_bounds(np.vstack([sparks, mutants]), objective.space, rng)
         spark_fitness = objective.evaluate_many(new_positions)
         cand_positions = np.vstack([positions, new_positions])
         cand_fitness = np.concatenate([fitness, spark_fitness])
@@ -197,7 +192,7 @@ def spso_run(objective: Objective, params: SpsoParams, config: RunConfig) -> Run
     space = objective.space
     v_max = params.velocity_clamp_fraction * space.width
 
-    positions = _init_positions(objective, n, rng)
+    positions = space.sample(rng, n)
     fitness = objective.evaluate_many(positions)
     velocities = np.zeros_like(positions)
     pbest_pos = positions.copy()
@@ -217,7 +212,7 @@ def spso_run(objective: Objective, params: SpsoParams, config: RunConfig) -> Run
             + params.social * r2 * (best.position - positions)
         )
         velocities = np.clip(velocities, -v_max, v_max)
-        positions = map_batch_into_bounds(positions + velocities, space, rng)
+        positions = map_into_bounds(positions + velocities, space, rng)
         fitness = objective.evaluate_many(positions)
 
         improved = fitness < pbest_fit
@@ -256,7 +251,7 @@ def ba_run(objective: Objective, params: BaParams, config: RunConfig) -> RunReco
     space = objective.space
     frequency_span = params.frequency_max - params.frequency_min
 
-    positions = _init_positions(objective, n, rng)
+    positions = space.sample(rng, n)
     fitness = objective.evaluate_many(positions).tolist()
     velocities = np.zeros_like(positions)
     loudness = np.full(n, params.loudness)

@@ -20,7 +20,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import replace
+from functools import partial
 
 from . import harness
 from .benchmarks import make_objective, objective_names
@@ -96,24 +96,12 @@ def _output_base(args, verb: str, algorithms: list[str], functions: list[str]) -
 
 
 def _build_config(args) -> RunConfig:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    population = {} if args.pop_size is None else {"population_size": args.pop_size}
     return RunConfig(
-        population_size=args.pop_size,
-        max_iterations=args.iterations,
-        tolerance=args.tolerance,
-        seed=args.seed,
+        max_iterations=args.iterations, tolerance=args.tolerance, seed=args.seed, **population
     )
-
-
-def _resolve_params(algorithm: str, args):
-    params = harness.default_params(algorithm)
-    if params is None:
-        return None
-    if args.pop_size_given:
-        if algorithm == "spso":
-            params = replace(params, swarm_size=args.pop_size)
-        elif algorithm == "ba":
-            params = replace(params, population=args.pop_size)
-    return params
 
 
 def _run_grid(args, algorithms: list[str], functions: list[str]):
@@ -127,7 +115,7 @@ def _run_grid(args, algorithms: list[str], functions: list[str]):
     }
     all_records = {}
     for algorithm in algorithms:
-        params = _resolve_params(algorithm, args)
+        params = harness.ALGORITHMS[algorithm].params(args.pop_size)
         for function in functions:
             summary, records = harness.run_experiment(
                 algorithm,
@@ -153,12 +141,6 @@ def _run_grid(args, algorithms: list[str], functions: list[str]):
     return rows, all_records, provenance
 
 
-def _print_rows(rows: list[dict]) -> None:
-    print(",".join(harness.SUMMARY_COLUMNS))
-    for row in rows:
-        print(",".join(harness._format_cell(row[c]) for c in harness.SUMMARY_COLUMNS))
-
-
 def _write_summary(args, base: str, rows: list[dict]) -> list[str]:
     if args.format == "json":
         path = f"{base}_summary.json"
@@ -169,20 +151,24 @@ def _write_summary(args, base: str, rows: list[dict]) -> list[str]:
     return [path]
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, summary: bool = True) -> int:
+    """``run``, and ``curve`` with ``summary=False``: one algorithm on one
+    function, writing the summary (``run`` only), curves and provenance."""
     algorithms = _expand_algorithms(args.algorithm)
     functions = _expand_functions(args.function)
     if len(algorithms) != 1 or len(functions) != 1:
-        raise ValueError("run takes exactly one algorithm and one function; use compare for grids")
-    base = _output_base(args, "run", algorithms, functions)
+        raise ValueError(
+            f"{args.verb} takes exactly one algorithm and one function; use compare for grids"
+        )
+    base = _output_base(args, args.verb, algorithms, functions)
     rows, all_records, provenance = _run_grid(args, algorithms, functions)
-    written = _write_summary(args, base, rows)
+    written = _write_summary(args, base, rows) if summary else []
     records = all_records[(algorithms[0], functions[0])]
     curves = harness.export_curves(records, transform=args.transform)
     harness.write_curves_csv(f"{base}_curves.csv", curves)
     harness.write_provenance_json(f"{base}_provenance.json", provenance)
     written += [f"{base}_curves.csv", f"{base}_provenance.json"]
-    _print_rows(rows)
+    print("\n".join(harness.summary_lines(rows)))
     print("wrote: " + ", ".join(written))
     return 0
 
@@ -195,24 +181,8 @@ def cmd_compare(args) -> int:
     written = _write_summary(args, base, rows)
     harness.write_provenance_json(f"{base}_provenance.json", provenance)
     written.append(f"{base}_provenance.json")
-    _print_rows(rows)
+    print("\n".join(harness.summary_lines(rows)))
     print("wrote: " + ", ".join(written))
-    return 0
-
-
-def cmd_curve(args) -> int:
-    algorithms = _expand_algorithms(args.algorithm)
-    functions = _expand_functions(args.function)
-    if len(algorithms) != 1 or len(functions) != 1:
-        raise ValueError("curve takes exactly one algorithm and one function")
-    base = _output_base(args, "curve", algorithms, functions)
-    rows, all_records, provenance = _run_grid(args, algorithms, functions)
-    records = all_records[(algorithms[0], functions[0])]
-    curves = harness.export_curves(records, transform=args.transform)
-    harness.write_curves_csv(f"{base}_curves.csv", curves)
-    harness.write_provenance_json(f"{base}_provenance.json", provenance)
-    _print_rows(rows)
-    print(f"wrote: {base}_curves.csv, {base}_provenance.json")
     return 0
 
 
@@ -237,6 +207,14 @@ def cmd_list_functions(args) -> int:
             f"{obj.declared_optimum:>12.8g} {';'.join(flags) or '-'}"
         )
     return 0
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="summary file format")
         p.add_argument("--transform", choices=["raw", "log10"], default="raw",
                        help="curve value transform")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel replications (default: available parallelism)")
+        p.add_argument("--jobs", type=int, default=_available_cpus(),
+                       help="parallel replications, at least 1 (default: available CPUs)")
 
     p_run = sub.add_parser("run", help="one algorithm on one function")
     add_common(p_run, single_algorithm=True)
@@ -277,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="convergence-curve export")
     add_common(p_curve, single_algorithm=True)
-    p_curve.set_defaults(func=cmd_curve)
+    p_curve.set_defaults(func=partial(cmd_run, summary=False))
 
     p_list = sub.add_parser("list-functions", help="print the benchmark registry")
     p_list.set_defaults(func=cmd_list_functions)
@@ -288,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.verb != "list-functions":
-        args.pop_size_given = args.pop_size is not None
-        if args.pop_size is None:
-            args.pop_size = 5
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -49,9 +49,27 @@ class SearchSpace:
         position = np.asarray(position, dtype=float)
         return bool(np.all(position >= self.lower) and np.all(position <= self.upper))
 
-    def sample(self, rng: "RngStream") -> np.ndarray:
-        """Uniform random position, one independent draw per dimension."""
-        return self.lower + rng.uniform(size=self.dim) * self.width
+    def sample(self, rng: "RngStream", count: int) -> np.ndarray:
+        """``count`` uniform random positions as a (count, d) array, one
+        independent draw per coordinate, row-major from one draw."""
+        return self.lower + rng.uniform(size=(count, self.dim)) * self.width
+
+
+def map_into_bounds(positions, space: SearchSpace, rng: "RngStream") -> np.ndarray:
+    """Re-place out-of-bounds coordinates uniformly inside the box.
+
+    Takes one (d,) position or an (n, d) batch and returns a new array of
+    the same shape. Only violating coordinates are redrawn, as lower +
+    beta * width with one fresh beta each, drawn in one block in row-major
+    order (no draw when none violates); in-bounds coordinates pass through
+    unchanged.
+    """
+    positions = np.array(positions, dtype=float)
+    mask = (positions < space.lower) | (positions > space.upper)
+    cols = mask.nonzero()[-1]
+    if cols.size:
+        positions[mask] = space.lower[cols] + rng.uniform(size=cols.size) * space.width[cols]
+    return positions
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,12 @@ with optional per-run columns and an optional log10 transform.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import uuid
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -26,13 +30,13 @@ __all__ = [
     "ExperimentSummary",
     "RunRecord",
     "ALGORITHMS",
-    "default_params",
-    "effective_population",
+    "Algorithm",
     "run_experiment",
     "summarize",
     "export_curves",
     "CurveTable",
     "build_summary_row",
+    "summary_lines",
     "params_fingerprint",
     "write_summary_csv",
     "write_summary_json",
@@ -95,45 +99,50 @@ def summarize(finals, declared_optimum: float, tolerance: float) -> ExperimentSu
     )
 
 
-def _run_lfwa(objective, params, config):
-    return lfwa.lfwa_run(objective, config)
+@dataclass(frozen=True)
+class Algorithm:
+    """One registry entry: what an algorithm's parameters and population are.
+
+    ``run(objective, params, config)`` performs one run. ``params_class`` is
+    None for an algorithm configured by ``RunConfig`` alone (LFWA), whose
+    LFWA-only ``RunConfig`` fields then enter provenance. ``population_field``
+    names the params field that sets the population, or is None when
+    ``RunConfig.population_size`` does.
+    """
+
+    run: Callable[..., RunRecord]
+    params_class: type | None
+    population_field: str | None
+
+    def params(self, population: int | None = None):
+        """Default parameters (None without a params class), with the
+        population field set to ``population`` when one is given."""
+        if self.params_class is None:
+            return None
+        params = self.params_class()
+        if population is not None and self.population_field is not None:
+            params = replace(params, **{self.population_field: population})
+        return params
+
+    def population(self, config: RunConfig, params) -> int:
+        """The population size the algorithm actually runs with."""
+        if self.population_field is None:
+            return config.population_size
+        return getattr(params, self.population_field)
 
 
 ALGORITHMS = {
-    "lfwa": _run_lfwa,
-    "fwa": baselines.fwa_run,
-    "spso": baselines.spso_run,
-    "ba": baselines.ba_run,
+    "lfwa": Algorithm(lambda objective, _, config: lfwa.lfwa_run(objective, config), None, None),
+    "fwa": Algorithm(baselines.fwa_run, baselines.FwaParams, None),
+    "spso": Algorithm(baselines.spso_run, baselines.SpsoParams, "swarm_size"),
+    "ba": Algorithm(baselines.ba_run, baselines.BaParams, "population"),
 }
-
-
-def default_params(algorithm: str):
-    """Documented default parameters for an algorithm (None for lfwa,
-    which is configured entirely by RunConfig)."""
-    if algorithm not in ALGORITHMS:
-        valid = ", ".join(ALGORITHMS)
-        raise KeyError(f"unknown algorithm {algorithm!r}; valid names: {valid}")
-    return {
-        "lfwa": None,
-        "fwa": baselines.FwaParams(),
-        "spso": baselines.SpsoParams(),
-        "ba": baselines.BaParams(),
-    }[algorithm]
-
-
-def effective_population(algorithm: str, config: RunConfig, params) -> int:
-    """The population size an algorithm actually runs with."""
-    if algorithm == "spso":
-        return params.swarm_size
-    if algorithm == "ba":
-        return params.population
-    return config.population_size
 
 
 def _execute_run(algorithm: str, objective_name: str, config: RunConfig, params) -> RunRecord:
     objective = make_objective(objective_name)
     try:
-        return ALGORITHMS[algorithm](objective, params, config)
+        return ALGORITHMS[algorithm].run(objective, params, config)
     except Exception as exc:
         raise RuntimeError(
             f"{algorithm} run on {objective_name} with seed {config.seed} failed: {exc}"
@@ -161,7 +170,7 @@ def run_experiment(
         valid = ", ".join(ALGORITHMS)
         raise KeyError(f"unknown algorithm {algorithm!r}; valid names: {valid}")
     if params is None:
-        params = default_params(algorithm)
+        params = ALGORITHMS[algorithm].params()
     declared = make_objective(objective_name).declared_optimum
 
     configs = [replace(config, seed=base_seed + i) for i in range(runs)]
@@ -231,20 +240,19 @@ def params_fingerprint(payload: dict) -> str:
 
 def resolved_parameters(algorithm: str, config: RunConfig, params) -> dict:
     """Every knob that influenced an experiment, for provenance files."""
-    payload = {
+    entry = ALGORITHMS[algorithm]
+    run_config_only = entry.params_class is None
+    return {
         "algorithm": algorithm,
-        "population_size": effective_population(algorithm, config, params),
+        "population_size": entry.population(config, params),
         "max_iterations": config.max_iterations,
         "tolerance": config.tolerance,
-        "gaussian_sparks_per_generation": config.gaussian_spark_count
-        if algorithm == "lfwa"
-        else None,
+        "gaussian_sparks_per_generation": config.gaussian_spark_count if run_config_only else None,
         "xi": config.xi,
-        "scalar_beta": config.scalar_beta if algorithm == "lfwa" else None,
+        "scalar_beta": config.scalar_beta if run_config_only else None,
         "sd_convention": "population (divide by N)",
         "algorithm_params": None if params is None else asdict(params),
     }
-    return payload
 
 
 def build_summary_row(
@@ -262,7 +270,7 @@ def build_summary_row(
         "function": objective_name,
         "runs": runs,
         "iterations": config.max_iterations,
-        "pop_size": effective_population(algorithm, config, params),
+        "pop_size": ALGORITHMS[algorithm].population(config, params),
         "worst": summary.worst,
         "best": summary.best,
         "mean": summary.mean,
@@ -279,18 +287,45 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_atomic(path, write) -> None:
+    """Call ``write(fh)`` on a new temporary file next to ``path``, then
+    rename it over ``path``, so that ``path`` holds either its old content
+    or all of the new. On failure the temporary file is removed and ``path``
+    is left as it was."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _json_writer(payload, **options):
+    def write(fh):
+        json.dump(payload, fh, indent=2, sort_keys=True, **options)
+        fh.write("\n")
+
+    return write
+
+
+def summary_lines(rows: list[dict]) -> list[str]:
+    """The summary CSV's lines: the header, then one line per row."""
+    return [",".join(SUMMARY_COLUMNS)] + [
+        ",".join(_format_cell(row[c]) for c in SUMMARY_COLUMNS) for row in rows
+    ]
+
+
 def write_summary_csv(path, rows: list[dict]) -> None:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in SUMMARY_COLUMNS))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = summary_lines(rows)
+    _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def write_summary_json(path, rows: list[dict]) -> None:
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(path, _json_writer(rows))
 
 
 def write_curves_csv(path, table: CurveTable) -> None:
@@ -298,11 +333,8 @@ def write_curves_csv(path, table: CurveTable) -> None:
     for row in table.rows:
         cells = [str(int(row[0]))] + [repr(float(v)) for v in row[1:]]
         lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def write_provenance_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_atomic(path, _json_writer(payload, default=str))

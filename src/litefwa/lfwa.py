@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import Objective
-from .core import Individual, RngStream, RunConfig, RunRecord, SearchSpace
+from .core import Individual, RngStream, RunConfig, RunRecord, map_into_bounds
 
 __all__ = [
     "LfwaState",
@@ -47,8 +47,6 @@ __all__ = [
     "explosion_radius",
     "generate_explosion_sparks",
     "gaussian_mutation",
-    "map_into_bounds",
-    "map_batch_into_bounds",
     "select_next_generation",
     "initialize_state",
     "lfwa_step",
@@ -198,35 +196,6 @@ def gaussian_mutation(x_i: np.ndarray, rng: RngStream) -> np.ndarray:
     return out
 
 
-def map_into_bounds(position: np.ndarray, space: SearchSpace, rng: RngStream) -> np.ndarray:
-    """Re-place out-of-bounds coordinates uniformly inside the box.
-
-    Only violating dimensions are redrawn (lower + beta * width, beta fresh
-    per violated dimension in dimension order); in-bounds coordinates pass
-    through unchanged.
-    """
-    position = np.array(position, dtype=float)
-    mask = (position < space.lower) | (position > space.upper)
-    k = int(np.count_nonzero(mask))
-    if k:
-        beta = np.asarray(rng.uniform(size=k), dtype=float)
-        position[mask] = space.lower[mask] + beta * space.width[mask]
-    return position
-
-
-def map_batch_into_bounds(positions: np.ndarray, space: SearchSpace, rng: RngStream) -> np.ndarray:
-    """Vectorized mapping for a (n, d) batch; draw order is row-major."""
-    positions = np.array(positions, dtype=float)
-    mask = (positions < space.lower) | (positions > space.upper)
-    k = int(np.count_nonzero(mask))
-    if k:
-        beta = np.asarray(rng.uniform(size=k), dtype=float)
-        lower = np.broadcast_to(space.lower, positions.shape)
-        width = np.broadcast_to(space.width, positions.shape)
-        positions[mask] = lower[mask] + beta * width[mask]
-    return positions
-
-
 def select_next_generation(fitness, population_size: int, rng: RngStream) -> np.ndarray:
     """Elite-Random selection; returns the chosen candidates' indices.
 
@@ -272,7 +241,7 @@ def lfwa_step(
         parents.append(parent)
         raw_mutants[g] = gaussian_mutation(fireworks[parent], rng)
 
-    sparks = map_batch_into_bounds(np.concatenate((raw_sparks, raw_mutants)), objective.space, rng)
+    sparks = map_into_bounds(np.concatenate((raw_sparks, raw_mutants)), objective.space, rng)
     values = objective.evaluate_many(sparks)
 
     positions = np.concatenate((fireworks, pbest, pbest[core : core + 1], sparks))
@@ -312,7 +281,7 @@ def lfwa_step(
 
 def initialize_state(objective: Objective, config: RunConfig, rng: RngStream) -> LfwaState:
     """Uniform random population; each slot starts as its own historical best."""
-    positions = np.asarray([objective.space.sample(rng) for _ in range(config.population_size)])
+    positions = objective.space.sample(rng, config.population_size)
     values = objective.evaluate_many(positions)
     best = int(np.argmin(values))
     return LfwaState(

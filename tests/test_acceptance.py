@@ -22,7 +22,7 @@ import pytest
 
 from conftest import RecordingRng, ReplayRng
 from litefwa.benchmarks import Objective, make_objective, objective_names
-from litefwa.core import RngStream, RunConfig, SearchSpace
+from litefwa.core import RngStream, RunConfig, SearchSpace, map_into_bounds
 from litefwa.harness import run_experiment, summarize
 from litefwa.lfwa import (
     GenerationTrace,
@@ -30,7 +30,6 @@ from litefwa.lfwa import (
     initialize_state,
     lfwa_run,
     lfwa_step,
-    map_into_bounds,
 )
 from transcription import straight_line_generation
 

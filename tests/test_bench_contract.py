@@ -1,0 +1,53 @@
+"""The benchmark in ``bench/`` reaches into the package from outside: its
+tracer wraps named functions and ``bench/grid_share.py`` patches two harness
+functions. A rename there would not fail the benchmark but quietly blind it
+(a traced metric reads 0 and ``trace.boundaries_absent`` rises), so the
+names it relies on are checked here. ``bench/`` is read, never changed."""
+
+import os
+import sys
+
+import pytest
+
+import litefwa
+import litefwa.cli  # noqa: F401  (the tracer wraps cli.main)
+from litefwa import harness
+from litefwa.core import RunConfig
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+@pytest.fixture
+def tracer_module(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import tracer
+
+    yield tracer
+    sys.modules.pop("tracer", None)
+
+
+def test_tracer_finds_every_boundary_but_the_retired_batch_repair(tracer_module):
+    tracer = tracer_module.Tracer()
+    tracer.install(litefwa)
+    try:
+        assert sorted(tracer.absent) == [
+            "litefwa.baselines.map_batch_into_bounds",
+            "litefwa.lfwa.map_batch_into_bounds",
+        ]
+    finally:
+        tracer.uninstall()
+
+
+def test_grid_share_patch_points_are_looked_up_at_call_time(monkeypatch):
+    # grid_share.py replaces both module attributes and relies on
+    # run_experiment calling _execute_run through the module.
+    calls = []
+    execute_run = harness._execute_run
+
+    def counting_run(*args):
+        calls.append(args[:2])
+        return execute_run(*args)
+
+    monkeypatch.setattr(harness, "_execute_run", counting_run)
+    harness.run_experiment("lfwa", "f7", 2, RunConfig(max_iterations=2), base_seed=0)
+    assert calls == [("lfwa", "f7")] * 2

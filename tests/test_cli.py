@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from litefwa.cli import _expand_algorithms, _expand_functions, _function_slug, main
+from litefwa.cli import _expand_algorithms, _expand_functions, _function_slug, build_parser, main
 
 
 def run_cli(args, tmp_path, capsys):
@@ -210,3 +210,37 @@ def test_missing_output_directory_fails_before_any_run(args, tmp_path, capsys, m
     assert "output directory 'missing' is not an existing directory" in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--algorithm", "lfwa", "--function", "f7"],
+        ["compare", "--algorithms", "lfwa,ba", "--functions", "f7"],
+        ["curve", "--algorithm", "ba", "--function", "f7"],
+    ],
+    ids=["run", "compare", "curve"],
+)
+def test_jobs_below_one_is_a_usage_error(args, jobs, tmp_path, capsys, monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("an experiment ran with an invalid --jobs")
+
+    monkeypatch.setattr("litefwa.harness.run_experiment", no_runs)
+    code, out, err = run_cli(
+        args + ["--runs", "1", "--iterations", "5", "--jobs", jobs], tmp_path, capsys
+    )
+    assert code == 2
+    assert f"--jobs must be at least 1, got {jobs}" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_jobs_default_is_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert build_parser().parse_args(["compare"]).jobs == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert build_parser().parse_args(["run", "--function", "f1"]).jobs == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(["curve", "--function", "f1"]).jobs == 1

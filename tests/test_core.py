@@ -27,9 +27,21 @@ def test_search_space_contains_and_sample():
     space = SearchSpace.symmetric(5.0, 3)
     assert space.contains([0.0, 5.0, -5.0])
     assert not space.contains([0.0, 5.0001, 0.0])
-    rng = RngStream(7)
-    for _ in range(100):
-        assert space.contains(space.sample(rng))
+    points = space.sample(RngStream(7), 100)
+    assert points.shape == (100, 3)
+    assert all(space.contains(p) for p in points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 30), dim=st.integers(1, 30))
+def test_search_space_sample_equals_row_by_row_draws(seed, count, dim):
+    # One (count, d) draw gives the rows of count consecutive (d,) draws,
+    # and leaves the stream where they leave it.
+    space = SearchSpace(np.linspace(-3.0, 1.0, dim), np.linspace(2.0, 9.0, dim))
+    joined, split = RngStream(seed), RngStream(seed)
+    rows = [space.lower + split.uniform(size=dim) * space.width for _ in range(count)]
+    assert np.array_equal(space.sample(joined, count), np.reshape(rows, (count, dim)))
+    assert joined._gen.bit_generator.state == split._gen.bit_generator.state
 
 
 def test_individual_rejects_non_finite_fitness():

@@ -1,14 +1,17 @@
 import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from litefwa.baselines import BaParams, SpsoParams
 from litefwa.core import Individual, RunConfig, RunRecord
 from litefwa.harness import (
+    ALGORITHMS,
     SUMMARY_COLUMNS,
     build_summary_row,
-    default_params,
     export_curves,
     params_fingerprint,
     resolved_parameters,
@@ -17,6 +20,7 @@ from litefwa.harness import (
     write_curves_csv,
     write_provenance_json,
     write_summary_csv,
+    write_summary_json,
 )
 
 FAST = RunConfig(max_iterations=30, seed=0)
@@ -177,7 +181,7 @@ def test_run_experiment_failed_run_names_the_seed(monkeypatch):
     def exploding_run(objective, params, config):
         raise ArithmeticError("boom")
 
-    monkeypatch.setitem(harness.ALGORITHMS, "lfwa", exploding_run)
+    monkeypatch.setitem(harness.ALGORITHMS, "lfwa", replace(ALGORITHMS["lfwa"], run=exploding_run))
     with pytest.raises(RuntimeError, match="seed 31"):
         run_experiment("lfwa", "f1", 1, FAST, base_seed=31)
 
@@ -190,12 +194,40 @@ def test_run_experiment_unknown_objective_is_a_lookup_error():
 
 
 def test_default_params_registry():
-    assert default_params("lfwa") is None
-    assert default_params("fwa").total_spark_budget == 50
-    assert default_params("spso").swarm_size == 30
-    assert default_params("ba").population == 30
-    with pytest.raises(KeyError):
-        default_params("nope")
+    assert ALGORITHMS["lfwa"].params() is None
+    assert ALGORITHMS["fwa"].params().total_spark_budget == 50
+    assert ALGORITHMS["spso"].params().swarm_size == 30
+    assert ALGORITHMS["ba"].params().population == 30
+    with pytest.raises(KeyError, match="unknown algorithm 'nope'; valid names: lfwa, fwa, spso, ba"):
+        run_experiment("nope", "f1", 1, FAST, base_seed=0, params=SpsoParams())
+
+
+@pytest.mark.parametrize(
+    "algorithm,expected_params,expected_population",
+    [
+        ("lfwa", None, 9),
+        ("fwa", ALGORITHMS["fwa"].params(), 9),
+        ("spso", SpsoParams(swarm_size=7), 7),
+        ("ba", BaParams(population=7), 7),
+    ],
+)
+def test_registry_population_override(algorithm, expected_params, expected_population):
+    # RunConfig sets the population of lfwa and fwa; spso and ba take it
+    # from their own params field.
+    entry = ALGORITHMS[algorithm]
+    params = entry.params(7)
+    assert params == expected_params
+    assert entry.population(RunConfig(population_size=9), params) == expected_population
+    assert resolved_parameters(algorithm, RunConfig(population_size=9), params)[
+        "population_size"] == expected_population
+
+
+def test_provenance_lfwa_only_fields():
+    config = RunConfig(scalar_beta=True)
+    for algorithm, entry in ALGORITHMS.items():
+        payload = resolved_parameters(algorithm, config, entry.params())
+        expected = (5, True) if algorithm == "lfwa" else (None, None)
+        assert (payload["gaussian_sparks_per_generation"], payload["scalar_beta"]) == expected
 
 
 # ----------------------------------------------------------------- writers
@@ -215,7 +247,7 @@ def test_summary_row_and_csv_round_trip(tmp_path):
 
 
 def test_fingerprint_is_stable_and_sensitive():
-    payload = resolved_parameters("spso", FAST, default_params("spso"))
+    payload = resolved_parameters("spso", FAST, ALGORITHMS["spso"].params())
     assert params_fingerprint(payload) == params_fingerprint(dict(payload))
     changed = dict(payload)
     changed["population_size"] = 31
@@ -236,3 +268,51 @@ def test_curves_csv_and_provenance_files(tmp_path):
     loaded = json.loads(prov_path.read_text())
     assert loaded["sd_convention"] == "population (divide by N)"
     assert loaded["algorithm"] == "lfwa"
+
+
+WRITERS = [
+    (write_summary_csv, [{c: 1 for c in SUMMARY_COLUMNS}]),
+    (write_summary_json, [{"algorithm": "lfwa", "mean": 0.5}]),
+    (write_curves_csv, export_curves([record_from([3.0, 2.0])])),
+    (write_provenance_json, {"algorithm": "lfwa"}),
+]
+
+
+@pytest.mark.parametrize("writer,payload", WRITERS, ids=[w.__name__ for w, _ in WRITERS])
+def test_writer_replaces_target_whole_and_leaves_no_temp_file(writer, payload, tmp_path):
+    target = tmp_path / "out"
+    target.write_text("old\n")
+    writer(target, payload)
+    assert target.read_text() != "old\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("writer", [write_summary_json, write_provenance_json])
+def test_writer_failing_mid_write_keeps_target_and_removes_temp_file(writer, tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+    # The first entries are written to the temporary file before the last fails.
+    payload = [{"a": 1.0}] * 2000 + [{"b": Unprintable()}]
+    with pytest.raises((TypeError, RuntimeError)):
+        writer(target, payload)
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_writer_failing_rename_keeps_target_and_removes_temp_file(tmp_path, monkeypatch):
+    import litefwa.harness as harness
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    target = tmp_path / "summary.csv"
+    target.write_text("old\n")
+    monkeypatch.setattr(harness.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write_summary_csv(target, [{c: 1 for c in SUMMARY_COLUMNS}])
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["summary.csv"]

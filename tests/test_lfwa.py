@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import ConstantRng
 from litefwa.benchmarks import Objective, make_objective
-from litefwa.core import RngStream, RunConfig, SearchSpace
+from litefwa.core import RngStream, RunConfig, SearchSpace, map_into_bounds
 from litefwa.lfwa import (
     GenerationTrace,
     LfwaState,
@@ -23,8 +26,6 @@ from litefwa.lfwa import (
     initialize_state,
     lfwa_run,
     lfwa_step,
-    map_batch_into_bounds,
-    map_into_bounds,
     select_next_generation,
 )
 
@@ -244,31 +245,53 @@ def test_mapping_beta_zero_lands_on_lower_bound():
     assert out[1] == 0.0
 
 
-def test_mapping_redraws_only_violating_dimensions_property():
-    space = SearchSpace.symmetric(100.0, 2)
-    for seed in range(200):
-        out = map_into_bounds(np.array([150.0, 0.0]), space, RngStream(seed))
-        assert -100.0 <= out[0] <= 100.0
-        assert out[1] == 0.0
+@st.composite
+def boxes_and_positions(draw):
+    """A non-uniform box and a (d,) row or (n, d) batch whose coordinates
+    lie below, inside, on the bounds of, or above the box."""
+    d = draw(st.integers(1, 6))
+    lower = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(0.01, 100.0), min_size=d, max_size=d)))
+    space = SearchSpace(lower, lower + width)
+    shape = (draw(st.integers(0, 8)), d) if draw(st.booleans()) else (d,)
+    offsets = st.floats(-1.0, 2.0) | st.sampled_from([0.0, 1.0])
+    return space, space.lower + draw(arrays(float, shape, elements=offsets)) * space.width
 
 
-def test_mapping_batch_equals_row_by_row_mapping():
-    space = SearchSpace(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 3.0]))
-    positions = np.random.default_rng(6).uniform(-10, 10, size=(40, 3))
-    batch = map_batch_into_bounds(positions, space, RngStream(12))
-    rng = RngStream(12)
-    rows = [map_into_bounds(row, space, rng) for row in positions]
-    assert np.array_equal(batch, np.array(rows))
+def out_of_box(space, positions):
+    return (positions < space.lower) | (positions > space.upper)
 
 
-def test_mapping_result_always_within_box_property():
-    space = SearchSpace(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 3.0]))
-    rng = RngStream(77)
-    sampler = np.random.default_rng(78)
-    for _ in range(500):
-        x = sampler.uniform(-10, 10, size=3)
-        out = map_into_bounds(x, space, rng)
-        assert space.contains(out)
+@settings(max_examples=300, deadline=None)
+@given(case=boxes_and_positions(), seed=st.integers(0, 2**32 - 1))
+def test_mapping_redraws_only_violating_dimensions_property(case, seed):
+    space, positions = case
+    before = positions.copy()
+    out = map_into_bounds(positions, space, RngStream(seed))
+    assert np.array_equal(positions, before)  # the input is not modified
+    inside = ~out_of_box(space, positions)
+    assert np.array_equal(out[inside], positions[inside])
+    assert not np.any(out[~inside] == positions[~inside])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=boxes_and_positions(), seed=st.integers(0, 2**32 - 1))
+def test_mapping_batch_equals_row_by_row_mapping(case, seed):
+    space, positions = case
+    batch_rng, row_rng = RngStream(seed), RngStream(seed)
+    batch = map_into_bounds(np.atleast_2d(positions), space, batch_rng)
+    rows = [map_into_bounds(row, space, row_rng) for row in np.atleast_2d(positions)]
+    assert np.array_equal(batch, np.reshape(rows, batch.shape))
+    assert batch_rng._gen.bit_generator.state == row_rng._gen.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=boxes_and_positions(), seed=st.integers(0, 2**32 - 1))
+def test_mapping_result_always_within_box_property(case, seed):
+    space, positions = case
+    out = map_into_bounds(positions, space, RngStream(seed))
+    assert out.shape == positions.shape
+    assert not out_of_box(space, out).any()
 
 
 # --------------------------------------------------------------- selection
