@@ -3,8 +3,8 @@
 Verbs:
   run             one algorithm on one function; writes summary, curves,
                   and a provenance sidecar
-  compare         a grid of algorithms x functions; one summary row each
-  curve           convergence-curve export (raw or log10)
+  curve           ``run`` without the summary: convergence curves (raw or log10)
+  compare         ``run`` over a grid of algorithms x functions, without curves
   list-functions  the benchmark registry as a table
 
 Every experiment is reproducible from its command line: all randomness
@@ -80,11 +80,11 @@ def _function_slug(functions: list[str]) -> str:
     return "+".join(f"f{n}" for n in numbers)
 
 
-def _output_base(args, verb: str, algorithms: list[str], functions: list[str]) -> str:
+def _output_base(args, algorithms: list[str], functions: list[str]) -> str:
     """The output base path; checked before any run, so that a directory
     that cannot take the files fails the command before the compute."""
     base = args.output or (
-        f"{verb}_{'+'.join(algorithms)}_{_function_slug(functions)}"
+        f"{args.verb}_{'+'.join(algorithms)}_{_function_slug(functions)}"
         f"_r{args.runs}_i{args.iterations}_s{args.seed}"
     )
     directory = os.path.dirname(base) or "."
@@ -141,46 +141,31 @@ def _run_grid(args, algorithms: list[str], functions: list[str]):
     return rows, all_records, provenance
 
 
-def _write_summary(args, base: str, rows: list[dict]) -> list[str]:
-    if args.format == "json":
-        path = f"{base}_summary.json"
-        harness.write_summary_json(path, rows)
-    else:
-        path = f"{base}_summary.csv"
-        harness.write_summary_csv(path, rows)
-    return [path]
-
-
-def cmd_run(args, summary: bool = True) -> int:
-    """``run``, and ``curve`` with ``summary=False``: one algorithm on one
-    function, writing the summary (``run`` only), curves and provenance."""
-    algorithms = _expand_algorithms(args.algorithm)
-    functions = _expand_functions(args.function)
-    if len(algorithms) != 1 or len(functions) != 1:
+def cmd_run(args, summary: bool = True, curves: bool = True) -> int:
+    """Every experiment verb: ``run`` writes the summary, curves and
+    provenance of one algorithm on one function, ``curve`` the same without
+    the summary (``summary=False``), and ``compare`` the summary and
+    provenance of a grid (``curves=False``)."""
+    algorithms = _expand_algorithms(args.algorithms)
+    functions = _expand_functions(args.functions)
+    if curves and (len(algorithms) != 1 or len(functions) != 1):
         raise ValueError(
             f"{args.verb} takes exactly one algorithm and one function; use compare for grids"
         )
-    base = _output_base(args, args.verb, algorithms, functions)
+    base = _output_base(args, algorithms, functions)
     rows, all_records, provenance = _run_grid(args, algorithms, functions)
-    written = _write_summary(args, base, rows) if summary else []
-    records = all_records[(algorithms[0], functions[0])]
-    curves = harness.export_curves(records, transform=args.transform)
-    harness.write_curves_csv(f"{base}_curves.csv", curves)
-    harness.write_provenance_json(f"{base}_provenance.json", provenance)
-    written += [f"{base}_curves.csv", f"{base}_provenance.json"]
-    print("\n".join(harness.summary_lines(rows)))
-    print("wrote: " + ", ".join(written))
-    return 0
-
-
-def cmd_compare(args) -> int:
-    algorithms = _expand_algorithms(args.algorithms)
-    functions = _expand_functions(args.functions)
-    base = _output_base(args, "compare", algorithms, functions)
-    rows, _, provenance = _run_grid(args, algorithms, functions)
-    written = _write_summary(args, base, rows)
-    harness.write_provenance_json(f"{base}_provenance.json", provenance)
+    written = []
+    if summary:
+        written.append(f"{base}_summary.{args.format}")
+        writers = {"csv": harness.write_summary_csv, "json": harness.write_summary_json}
+        writers[args.format](written[-1], rows)
+    if curves:
+        (records,) = all_records.values()
+        written.append(f"{base}_curves.csv")
+        table = harness.export_curves(records, transform=args.transform)
+        harness.write_curves_csv(written[-1], table)
     written.append(f"{base}_provenance.json")
+    harness.write_provenance_json(written[-1], provenance)
     print("\n".join(harness.summary_lines(rows)))
     print("wrote: " + ", ".join(written))
     return 0
@@ -226,8 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, single_algorithm: bool):
         if single_algorithm:
-            p.add_argument("--algorithm", default="lfwa", help="algorithm name")
-            p.add_argument("--function", required=True, help="benchmark name, e.g. f1")
+            p.add_argument("--algorithm", default="lfwa", dest="algorithms", metavar="ALGORITHM",
+                           help="algorithm name")
+            p.add_argument("--function", required=True, dest="functions", metavar="FUNCTION",
+                           help="benchmark name, e.g. f1")
         else:
             p.add_argument("--algorithms", default="lfwa,fwa,spso,ba", help="comma list")
             p.add_argument("--functions", default="f1..f9", help="comma list or f1..f9 range")
@@ -251,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="grid of algorithms x functions")
     add_common(p_cmp, single_algorithm=False)
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=partial(cmd_run, curves=False))
 
     p_curve = sub.add_parser("curve", help="convergence-curve export")
     add_common(p_curve, single_algorithm=True)

@@ -1,9 +1,11 @@
-"""Shared domain types: search spaces, individuals, random streams, run configuration."""
+"""Shared domain types: search spaces, individuals, random streams, run
+configuration, and ``drive``, which records every algorithm's runs."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -30,6 +32,7 @@ class SearchSpace:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.ndim != 1 or upper.shape != lower.shape:
             raise ValueError("lower and upper must be 1-d arrays of equal length")
+        require_finite(lower=lower, upper=upper)
         if not np.all(lower < upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
         object.__setattr__(self, "lower", lower)
@@ -53,6 +56,13 @@ class SearchSpace:
         """``count`` uniform random positions as a (count, d) array, one
         independent draw per coordinate, row-major from one draw."""
         return self.lower + rng.uniform(size=(count, self.dim)) * self.width
+
+
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first value that holds a NaN or an infinity."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def map_into_bounds(positions, space: SearchSpace, rng: "RngStream") -> np.ndarray:
@@ -190,3 +200,27 @@ class RunRecord:
             raise ValueError("best-so-far trajectory must be non-increasing")
         if trajectory[-1] != self.final_best.fitness:
             raise ValueError("final_best.fitness must equal the last trajectory entry")
+
+
+def drive(algorithm: str, objective, config: RunConfig, generations) -> RunRecord:
+    """One run of ``algorithm`` on ``objective`` under the shared protocol.
+
+    ``generations(rng)`` is a generator over the run's stream, seeded with
+    ``config.seed``. It yields the best-so-far ``(position, fitness)``, a
+    Python float fitness, once after initialization and once after each
+    generation. ``drive`` takes ``config.max_iterations + 1`` of them and
+    never resumes the generator after the last: that would run one more
+    generation of draws and evaluations.
+    """
+    evals_before = objective.eval_count
+    trajectory = []
+    for position, fitness in islice(generations(RngStream(config.seed)), config.max_iterations + 1):
+        trajectory.append(fitness)
+    return RunRecord(
+        algorithm=algorithm,
+        objective=objective.name,
+        seed=config.seed,
+        trajectory=np.asarray(trajectory),
+        final_best=Individual(position, fitness),
+        evaluations_used=objective.eval_count - evals_before,
+    )

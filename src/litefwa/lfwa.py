@@ -28,6 +28,9 @@ the values of one joined call, and evaluates an ``integers`` call with an
 array ``low`` as the scalar calls in sequence, leaving the same generator
 state. ``tests/test_core.py`` checks both identities, and seeded outputs are
 unchanged from the per-firework implementation.
+
+``lfwa_run`` yields the best-so-far after ``initialize_state`` and after
+each ``lfwa_step`` to ``core.drive``, which records the run.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import Objective
-from .core import Individual, RngStream, RunConfig, RunRecord, map_into_bounds
+from .core import RngStream, RunConfig, RunRecord, drive, map_into_bounds
 
 __all__ = [
     "LfwaState",
@@ -70,7 +73,6 @@ class LfwaState:
     pbest_fitness: np.ndarray
     best_position: np.ndarray
     best_fitness: float
-    iteration: int
 
     @property
     def core_index(self) -> int:
@@ -275,7 +277,6 @@ def lfwa_step(
         pbest_fitness=np.where(improved, new_fitness, pbest_fitness),
         best_position=best_position,
         best_fitness=best_fitness,
-        iteration=state.iteration + 1,
     )
 
 
@@ -291,24 +292,16 @@ def initialize_state(objective: Objective, config: RunConfig, rng: RngStream) ->
         pbest_fitness=values,
         best_position=positions[best],
         best_fitness=float(values[best]),
-        iteration=0,
     )
 
 
 def lfwa_run(objective: Objective, config: RunConfig) -> RunRecord:
     """Run the optimizer for the configured number of generations."""
-    rng = RngStream(config.seed)
-    evals_before = objective.eval_count
-    state = initialize_state(objective, config, rng)
-    trajectory = [state.best_fitness]
-    for _ in range(config.max_iterations):
-        state = lfwa_step(state, objective, config, rng)
-        trajectory.append(state.best_fitness)
-    return RunRecord(
-        algorithm="lfwa",
-        objective=objective.name,
-        seed=config.seed,
-        trajectory=np.asarray(trajectory),
-        final_best=Individual(state.best_position, state.best_fitness),
-        evaluations_used=objective.eval_count - evals_before,
-    )
+
+    def generations(rng: RngStream):
+        state = initialize_state(objective, config, rng)
+        while True:
+            yield state.best_position, state.best_fitness
+            state = lfwa_step(state, objective, config, rng)
+
+    return drive("lfwa", objective, config, generations)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,21 @@ def test_params_validation():
         BaParams(frequency_min=3.0, frequency_max=2.0)
     with pytest.raises(ValueError):
         BaParams(loudness_decay=1.5)
+
+
+PARAMS_FIELDS = [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in (FwaParams, SpsoParams, BaParams)
+    for f in fields(cls)
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("params_class,field", PARAMS_FIELDS)
+def test_params_reject_non_finite_fields(params_class, field, value):
+    # NaN passes every range check, so only the finiteness check stops it.
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        params_class(**{field: value})
 
 
 @pytest.mark.parametrize(

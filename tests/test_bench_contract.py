@@ -38,6 +38,28 @@ def test_tracer_finds_every_boundary_but_the_retired_batch_repair(tracer_module)
         tracer.uninstall()
 
 
+def test_tracer_sees_every_layer_of_a_driven_run(tracer_module):
+    # Runs go through core.drive. Each algorithm's generator must still call
+    # the names the tracer wraps, looked up when called, or a layer reads 0.
+    config = RunConfig(max_iterations=5, seed=0)
+    tracer = tracer_module.Tracer()
+    tracer.install(litefwa)
+    try:
+        litefwa.lfwa_run(litefwa.make_objective("f7"), config)
+        litefwa.fwa_run(litefwa.make_objective("f7"), litefwa.FwaParams(), config)
+        litefwa.spso_run(litefwa.make_objective("f7"), litefwa.SpsoParams(), config)
+        litefwa.ba_run(litefwa.make_objective("f7"), litefwa.BaParams(), config)
+    finally:
+        tracer.uninstall()
+    calls = tracer.calls
+    assert calls["lfwa.step"] == 5
+    assert [calls[f"baselines.{name}"] for name in ("fwa", "spso", "ba")] == [1, 1, 1]
+    # one batch repair per generation for LFWA, FWA and SPSO; one per bat for BA
+    assert calls["lfwa.repair"] == 5 + 5 + 5 + 30 * 5
+    assert calls["core.rng"] > 0
+    assert calls["benchmarks.eval"] > 0
+
+
 def test_grid_share_patch_points_are_looked_up_at_call_time(monkeypatch):
     # grid_share.py replaces both module attributes and relies on
     # run_experiment calling _execute_run through the module.

@@ -244,3 +244,28 @@ def test_jobs_default_is_the_cpus_this_process_may_use(monkeypatch):
     assert build_parser().parse_args(["run", "--function", "f1"]).jobs == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert build_parser().parse_args(["curve", "--function", "f1"]).jobs == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compare", "--algorithms", "lfwa,fwa,spso,ba", "--functions", "f1,f7"],
+        ["run", "--algorithm", "fwa", "--function", "f1"],
+    ],
+    ids=["compare", "run"],
+)
+def test_jobs_changes_no_output_byte_but_its_own_provenance_field(args, tmp_path, capsys):
+    outputs = {}
+    for jobs in (1, 2):
+        directory = tmp_path / f"jobs{jobs}"
+        directory.mkdir()
+        argv = args + ["--runs", "3", "--iterations", "10", "--jobs", str(jobs)]
+        code, out, _ = run_cli(argv, directory, capsys)
+        assert code == 0
+        files = {path.name: path.read_bytes() for path in directory.iterdir()}
+        (provenance_name,) = [name for name in files if name.endswith("_provenance.json")]
+        provenance = json.loads(files.pop(provenance_name))
+        assert provenance.pop("jobs") == jobs
+        outputs[jobs] = out, files, provenance
+    assert outputs[1] == outputs[2]
+    assert len(outputs[1][1]) == (1 if args[0] == "compare" else 2)  # summary, curves

@@ -23,6 +23,15 @@ def test_search_space_validation():
     assert np.all(space.width == 200.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["lower", "upper"])
+def test_search_space_rejects_non_finite_bounds(field, value):
+    bounds = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+    bounds[field][1] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SearchSpace(**bounds)
+
+
 def test_search_space_contains_and_sample():
     space = SearchSpace.symmetric(5.0, 3)
     assert space.contains([0.0, 5.0, -5.0])
