@@ -473,6 +473,16 @@ def test_step_selected_rows_come_from_the_candidate_set():
 # --------------------------------------------------------------------- run
 
 
+def test_run_same_seed_is_bitwise_identical():
+    config = RunConfig(max_iterations=40, seed=123)
+    rec1 = lfwa_run(make_objective("f9"), config)
+    rec2 = lfwa_run(make_objective("f9"), config)
+    assert np.array_equal(rec1.trajectory, rec2.trajectory)
+    assert np.array_equal(rec1.final_best.position, rec2.final_best.position)
+    assert rec1.final_best.fitness == rec2.final_best.fitness
+    assert rec1.evaluations_used == rec2.evaluations_used
+
+
 def test_run_evaluation_count_is_exact():
     objective = sphere_objective(2)
     config = RunConfig(population_size=3, seed=1, max_iterations=25,
@@ -486,6 +496,13 @@ def test_run_evaluation_count_is_exact():
         expected += int(trace.spark_counts.sum()) + 2
     record = lfwa_run(sphere_objective(2), config)
     assert record.evaluations_used == expected
+
+
+def test_run_trajectory_length_and_monotone():
+    record = lfwa_run(make_objective("f7"), RunConfig(max_iterations=60, seed=9))
+    assert record.trajectory.shape == (61,)
+    assert np.all(np.diff(record.trajectory) <= 0.0)
+    assert record.trajectory[-1] == record.final_best.fitness
 
 
 def test_run_scalar_beta_toggle_end_to_end():
