@@ -16,7 +16,15 @@ from itertools import count
 import numpy as np
 
 from .benchmarks import Objective
-from .core import RngStream, RunConfig, RunRecord, drive, map_into_bounds, require_finite
+from .core import (
+    RngStream,
+    RunConfig,
+    RunRecord,
+    drive,
+    map_into_bounds,
+    require_finite,
+    require_integer,
+)
 
 __all__ = ["FwaParams", "SpsoParams", "BaParams", "fwa_run", "spso_run", "ba_run"]
 
@@ -33,6 +41,10 @@ class FwaParams:
 
     def __post_init__(self) -> None:
         require_finite(**vars(self))
+        require_integer(
+            total_spark_budget=self.total_spark_budget,
+            gaussian_spark_count=self.gaussian_spark_count,
+        )
         if not 0.0 < self.intensity_min_fraction < self.intensity_max_fraction < 1.0:
             raise ValueError("need 0 < min fraction < max fraction < 1")
         if self.total_spark_budget < 1 or self.gaussian_spark_count < 1:
@@ -54,6 +66,7 @@ class SpsoParams:
 
     def __post_init__(self) -> None:
         require_finite(**vars(self))
+        require_integer(swarm_size=self.swarm_size)
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be at least 2")
         if self.cognitive <= 0 or self.social <= 0:
@@ -79,6 +92,7 @@ class BaParams:
 
     def __post_init__(self) -> None:
         require_finite(**vars(self))
+        require_integer(population=self.population)
         if self.population < 2:
             raise ValueError("population must be at least 2")
         if self.frequency_min > self.frequency_max:

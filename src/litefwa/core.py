@@ -4,6 +4,7 @@ configuration, and ``drive``, which records every algorithm's runs."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -63,6 +64,16 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_integer(**values) -> None:
+    """Raise ValueError naming the first value that is not an integer, that
+    is, one ``operator.index`` refuses (floats, NaN, strings)."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def map_into_bounds(positions, space: SearchSpace, rng: "RngStream") -> np.ndarray:
@@ -139,7 +150,8 @@ class RunConfig:
     ``population_size`` is the number of fireworks M. ``xi`` is the tiny
     constant that keeps the intensity exponent finite when all fitnesses
     coincide; it defaults to machine epsilon. ``gaussian_sparks_per_generation``
-    of ``None`` means one mutant per firework (M total).
+    of ``None`` means one mutant per firework (M total). The counts and the
+    seed must be integers (numpy integers included), the seed nonnegative.
 
     ``scalar_beta`` switches the displacement step from one uniform draw per
     dimension (default) to a single shared draw per spark, for comparison
@@ -155,10 +167,19 @@ class RunConfig:
     scalar_beta: bool = False
 
     def __post_init__(self) -> None:
+        require_integer(
+            population_size=self.population_size,
+            max_iterations=self.max_iterations,
+            seed=self.seed,
+        )
+        if self.gaussian_sparks_per_generation is not None:
+            require_integer(gaussian_sparks_per_generation=self.gaussian_sparks_per_generation)
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
         if not (math.isfinite(self.xi) and self.xi > 0):

@@ -15,11 +15,17 @@ Its random draws, in order, are:
 
   1. one uniform block for all displacement betas, shape (sum(s_i), d), or
      (sum(s_i),) with ``scalar_beta``, fireworks in slot order;
-  2. per Gaussian mutant: the parent index, n, one integer draw for the n
-     swaps of the dimension shuffle, then one normal;
+  2. per Gaussian mutant: the parent index, n, the n swaps of the
+     dimension shuffle (n scalar integer draws for n <= 3, otherwise one
+     integer draw), then one normal;
   3. one uniform block for the out-of-bounds coordinates of all explosion
      sparks then all mutants, row-major (no draw when none is out of bounds);
-  4. one integer draw for the M - 1 swaps of the selection shuffle.
+  4. the M - 1 swaps of the selection shuffle (M - 1 scalar integer draws
+     for M <= 4, otherwise one integer draw).
+
+Short shuffles draw scalars because an ``integers`` call with an array
+``low`` costs about as much as four scalar calls whatever its length; the
+crossover is ``_SCALAR_SWAPS_MAX``.
 
 This is the draw sequence of the per-firework formulation (one uniform block
 per firework, one mapping draw per spark, one integer draw per swap), joined
@@ -35,6 +41,7 @@ each ``lfwa_step`` to ``core.drive``, which records the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +83,7 @@ class LfwaState:
 
     @property
     def core_index(self) -> int:
-        return int(np.argmin(self.pbest_fitness))
+        return int(self.pbest_fitness.argmin())
 
 
 @dataclass
@@ -114,17 +121,19 @@ def explosion_intensity(fitnesses, population_size: int, xi: float) -> np.ndarra
         raise ValueError("population_size must be at least 1")
     if not xi > 0:  # also rejects NaN
         raise ValueError("xi must be positive")
-    if not np.isfinite(fitnesses).all():
+    f_max = np.maximum.reduce(fitnesses)
+    f_min = np.minimum.reduce(fitnesses)
+    # a NaN propagates into both extrema, and an infinity is one of them
+    if not (math.isfinite(f_max) and math.isfinite(f_min)):
         raise ValueError("all fitnesses must be finite")
-    f_max = fitnesses.max()
-    f_min = fitnesses.min()
     exponents = (f_max - fitnesses) / (f_max - f_min + xi)
     return np.ceil(np.power(float(population_size), exponents)).astype(int)
 
 
 def average_intensity(spark_counts) -> float:
     """Mean spark count, kept as a real number (no truncation)."""
-    return float(np.mean(np.asarray(spark_counts, dtype=float)))
+    counts = np.asarray(spark_counts, dtype=float)
+    return float(np.add.reduce(counts) / counts.size)  # what np.mean computes
 
 
 def explosion_radius(x, pbest, core, counts, s_avg: float) -> np.ndarray:
@@ -156,27 +165,40 @@ def generate_explosion_sparks(
     by firework in row order, unmapped; bounds handling happens later. One
     1-d firework with an integer count is one row.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    radius = np.atleast_2d(np.asarray(radius, dtype=float))
-    counts = np.atleast_1d(counts)
-    total = int(counts.sum())
+    x = np.asarray(x, dtype=float)
+    radius = np.asarray(radius, dtype=float)
+    if x.ndim == 1:
+        x, radius, counts = x[None], radius[None], [counts]
+    rows = np.arange(len(x)).repeat(counts)
     if scalar_beta:
-        beta = np.asarray(rng.uniform(size=total), dtype=float)[:, None]
+        beta = rng.uniform(size=rows.size)[:, None]
     else:
-        beta = np.asarray(rng.uniform(size=(total, x.shape[1])), dtype=float)
-    return np.repeat(x, counts, axis=0) + beta * np.repeat(radius, counts, axis=0)
+        beta = rng.uniform(size=(rows.size, x.shape[1]))
+    return x[rows] + beta * radius[rows]
+
+
+# Longest shuffle drawn as scalar calls. Through RngStream, with numpy 2.4
+# and Python 3.11 on a 2-core x86_64 machine, an integer draw with an array
+# low cost about 10 us whatever its length and k scalar draws about 2.6k us,
+# so the two break even at four swaps.
+_SCALAR_SWAPS_MAX = 3
 
 
 def _sample_without_replacement(n: int, k: int, rng: RngStream) -> list[int]:
     """First k entries of a partial Fisher-Yates shuffle of range(n).
 
-    Swap j exchanges entries j and s_j with s_j uniform in [j, n); all k
-    targets come from one draw.
+    Swap j exchanges entries j and s_j with s_j uniform in [j, n). The k
+    targets come from k scalar draws up to ``_SCALAR_SWAPS_MAX`` swaps and
+    from one array-``low`` draw beyond; both give the same values and
+    leave the same stream state.
     """
+    if k <= _SCALAR_SWAPS_MAX:
+        targets = [rng.integers(j, n) for j in range(k)]
+    else:
+        targets = rng.integers(np.arange(k), n).tolist()
     idx = list(range(n))
-    if k:
-        for j, s in enumerate(rng.integers(np.arange(k), n).tolist()):
-            idx[j], idx[s] = idx[s], idx[j]
+    for j, s in enumerate(targets):
+        idx[j], idx[s] = idx[s], idx[j]
     return idx[:k]
 
 
@@ -189,11 +211,10 @@ def gaussian_mutation(x_i: np.ndarray, rng: RngStream) -> np.ndarray:
     contract every selected coordinate at once. Zero coordinates are fixed
     points of this mutation; that is a documented property, not a bug.
     """
-    x_i = np.asarray(x_i, dtype=float)
-    d = x_i.size
+    out = np.array(x_i, dtype=float)
+    d = out.size
     n = rng.integers(1, d + 1)
-    dims = np.array(_sample_without_replacement(d, n, rng))
-    out = x_i.copy()
+    dims = _sample_without_replacement(d, n, rng)
     out[dims] *= float(rng.normal()) + 1.0
     return out
 
@@ -207,7 +228,7 @@ def select_next_generation(fitness, population_size: int, rng: RngStream) -> np.
     drawn uniformly at random without replacement from the rest. Should the
     pool ever be too small, the remainder is sampled with replacement.
     """
-    elite = int(np.argmin(fitness))
+    elite = int(np.asarray(fitness).argmin())
     pool = len(fitness) - 1
     needed = population_size - 1
     if not pool:
@@ -236,14 +257,17 @@ def lfwa_step(
     radii = explosion_radius(fireworks, pbest, pbest[core], counts, s_avg)
     raw_sparks = generate_explosion_sparks(fireworks, radii, counts, rng, config.scalar_beta)
 
+    # explosion sparks then Gaussian mutants, one row each
+    n_explosion = len(raw_sparks)
+    raw = np.empty((n_explosion + config.gaussian_spark_count, fireworks.shape[1]))
+    raw[:n_explosion] = raw_sparks
     parents: list[int] = []
-    raw_mutants = np.empty((config.gaussian_spark_count, fireworks.shape[1]))
-    for g in range(config.gaussian_spark_count):
+    for row in range(n_explosion, len(raw)):
         parent = rng.integers(0, m)
         parents.append(parent)
-        raw_mutants[g] = gaussian_mutation(fireworks[parent], rng)
+        raw[row] = gaussian_mutation(fireworks[parent], rng)
 
-    sparks = map_into_bounds(np.concatenate((raw_sparks, raw_mutants)), objective.space, rng)
+    sparks = map_into_bounds(raw, objective.space, rng)
     values = objective.evaluate_many(sparks)
 
     positions = np.concatenate((fireworks, pbest, pbest[core : core + 1], sparks))
@@ -259,14 +283,13 @@ def lfwa_step(
         best_position, best_fitness = state.best_position, state.best_fitness
 
     if trace is not None:
-        n_explosion = len(raw_sparks)
         trace.spark_counts = counts
         trace.mean_intensity = s_avg
         trace.radii = radii
         trace.explosion_sparks_raw = raw_sparks
         trace.explosion_sparks_mapped = sparks[:n_explosion]
         trace.gaussian_parents = parents
-        trace.gaussian_sparks_raw = raw_mutants
+        trace.gaussian_sparks_raw = raw[n_explosion:]
         trace.gaussian_sparks_mapped = sparks[n_explosion:]
         trace.selected = selected
 

@@ -246,7 +246,8 @@ def _scalar_sphere(name="sphere1d"):
     )
 
 
-@pytest.mark.parametrize("population", [2, 3])
+# M = 2 and 3 draw the selection swaps as scalars, M = 5 as one array draw
+@pytest.mark.parametrize("population", [2, 3, 5])
 def test_criterion_6_equation_level_oracle(population):
     objective = _scalar_sphere()
     config = RunConfig(population_size=population, max_iterations=0, seed=7)

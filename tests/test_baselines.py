@@ -59,6 +59,29 @@ def test_params_reject_non_finite_fields(params_class, field, value):
         params_class(**{field: value})
 
 
+INTEGER_PARAMS_FIELDS = [
+    (FwaParams, "total_spark_budget"),
+    (FwaParams, "gaussian_spark_count"),
+    (SpsoParams, "swarm_size"),
+    (BaParams, "population"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 10.5, 30.0])
+@pytest.mark.parametrize("params_class,field", INTEGER_PARAMS_FIELDS)
+def test_params_reject_non_integer_counts(params_class, field, value):
+    # a fraction passed the range checks and failed mid-run, or ran as a
+    # different budget than the one recorded
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        params_class(**{field: value})
+
+
+@pytest.mark.parametrize("params_class,field", INTEGER_PARAMS_FIELDS)
+def test_params_accept_numpy_integer_counts(params_class, field):
+    default = getattr(params_class(), field)
+    assert params_class(**{field: np.int64(default)}) == params_class()
+
+
 @pytest.mark.parametrize(
     "runner,params",
     [(fwa_run, FwaParams()), (spso_run, SpsoParams()), (ba_run, BaParams())],

@@ -236,6 +236,30 @@ def test_jobs_below_one_is_a_usage_error(args, jobs, tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--algorithm", "lfwa", "--function", "f7"],
+        ["compare", "--algorithms", "lfwa,ba", "--functions", "f7"],
+        ["curve", "--algorithm", "ba", "--function", "f7"],
+    ],
+    ids=["run", "compare", "curve"],
+)
+def test_negative_seed_is_a_usage_error(args, tmp_path, capsys, monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("an experiment ran with a negative --seed")
+
+    monkeypatch.setattr("litefwa.harness.run_experiment", no_runs)
+    code, out, err = run_cli(
+        args + ["--runs", "1", "--iterations", "5", "--jobs", "1", "--seed", "-1"],
+        tmp_path, capsys,
+    )
+    assert code == 2
+    assert "seed must be nonnegative, got -1" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_jobs_default_is_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)

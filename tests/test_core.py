@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from litefwa.benchmarks import make_objective
 from litefwa.core import (
     EvaluationError,
     Individual,
@@ -11,6 +12,7 @@ from litefwa.core import (
     RunRecord,
     SearchSpace,
 )
+from litefwa.lfwa import lfwa_run
 
 
 def test_search_space_validation():
@@ -168,6 +170,40 @@ def test_run_config_rejects_non_finite_tolerance(value):
 def test_run_config_rejects_non_finite_or_nonpositive_xi(value):
     with pytest.raises(ValueError, match="xi must be finite and positive"):
         RunConfig(xi=value)
+
+
+# None is gaussian_sparks_per_generation's documented default
+NON_INTEGER_FIELDS = [
+    (field, value)
+    for field in ("population_size", "max_iterations", "seed", "gaussian_sparks_per_generation")
+    for value in (float("nan"), 2.5, 10.0, "3", None)
+    if not (value is None and field == "gaussian_sparks_per_generation")
+]
+
+
+@pytest.mark.parametrize("field,value", NON_INTEGER_FIELDS)
+def test_run_config_rejects_non_integer_fields(field, value):
+    # NaN and fractions used to pass the range checks and fail mid-run, and
+    # a fractional seed ran silently as its integer part
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+def test_run_config_rejects_a_negative_seed(seed):
+    with pytest.raises(ValueError, match="^seed must be nonnegative"):
+        RunConfig(seed=seed)
+
+
+def test_run_config_accepts_numpy_integers():
+    numpy_fields = {"population_size": np.int64(3), "max_iterations": np.int64(4),
+                    "seed": np.int64(2), "gaussian_sparks_per_generation": np.int64(2)}
+    config = RunConfig(**numpy_fields)
+    plain = RunConfig(**{name: int(value) for name, value in numpy_fields.items()})
+    a = lfwa_run(make_objective("f7"), config)
+    b = lfwa_run(make_objective("f7"), plain)
+    assert np.array_equal(a.trajectory, b.trajectory)
+    assert a.evaluations_used == b.evaluations_used
 
 
 def test_run_record_validation():

@@ -28,6 +28,8 @@ import functools
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +157,30 @@ def test_baseline_matches_committed_table(name):
 
 def test_committed_baselines_table_covers_every_case():
     assert sorted(load_json(BASELINES_TABLE_PATH)) == sorted(baseline_cases())
+
+
+# FWA's crowding multiplies a Gram matrix through BLAS, the only BLAS call
+# in the package; these cases must not depend on how many threads share it.
+BLAS_THREAD_CASES = ("fwa/f1/0", "fwa/f7/0")
+
+
+def test_fwa_digests_do_not_depend_on_blas_threads():
+    script = (
+        "from test_golden import BLAS_THREAD_CASES, baseline_cases, baseline_digest\n"
+        "for name in BLAS_THREAD_CASES:\n"
+        "    print(name, baseline_digest(*baseline_cases()[name]))\n"
+    )
+    src = os.path.join(os.path.dirname(HERE), "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, HERE])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        outputs[threads] = done.stdout
+    expected = "".join(f"{name} {load_json(BASELINES_TABLE_PATH)[name]}\n"
+                       for name in BLAS_THREAD_CASES)
+    assert outputs["1"] == outputs["2"] == expected
 
 
 def write_table(path: str, table: dict) -> None:

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import ConstantRng
+from conftest import ConstantRng, RecordingRng
 from litefwa.benchmarks import Objective, make_objective
 from litefwa.core import RngStream, RunConfig, SearchSpace, map_into_bounds
 from litefwa.lfwa import (
+    _SCALAR_SWAPS_MAX,
     GenerationTrace,
     LfwaState,
     average_intensity,
@@ -27,6 +28,7 @@ from litefwa.lfwa import (
     lfwa_run,
     lfwa_step,
     select_next_generation,
+    _sample_without_replacement,
 )
 
 XI = float(np.finfo(np.float64).eps)
@@ -91,8 +93,9 @@ def test_intensity_bounds_and_monotonicity_property():
 
 
 def test_intensity_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        explosion_intensity([1.0, np.nan], 2, XI)
+    for bad in ([1.0, np.nan], [np.nan, np.nan], [1.0, np.inf], [-np.inf, 1.0], [np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="all fitnesses must be finite"):
+            explosion_intensity(bad, 2, XI)
     with pytest.raises(ValueError):
         explosion_intensity([1.0, 2.0], 2, 0.0)
     with pytest.raises(ValueError):
@@ -227,6 +230,33 @@ def test_mutation_changed_count_matches_drawn_n_property():
         n = recorder_rng.integers(1, 9)  # peek at the first draw
         out = gaussian_mutation(x, RngStream(seed))
         assert np.count_nonzero(out != x) == n
+
+
+def _state(rng):
+    return rng._gen.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, _SCALAR_SWAPS_MAX + 2),
+    extra=st.integers(0, 40),
+)
+def test_shuffle_is_the_same_on_both_sides_of_the_scalar_crossover(seed, k, extra):
+    # transcribed: k scalar swap draws, and the same swaps from one
+    # array-low draw; the shuffle must match both, and leave the same state
+    n = k + extra
+    got_rng, scalar_rng, array_rng = RngStream(seed), RngStream(seed), RngStream(seed)
+    got = _sample_without_replacement(n, k, got_rng)
+    expected = []
+    for targets in ([scalar_rng.integers(j, n) for j in range(k)],
+                    array_rng.integers(np.arange(k), n).tolist()):
+        idx = list(range(n))
+        for j, s in enumerate(targets):
+            idx[j], idx[s] = idx[s], idx[j]
+        expected.append(idx[:k])
+    assert got == expected[0] == expected[1]
+    assert _state(got_rng) == _state(scalar_rng) == _state(array_rng)
 
 
 # ----------------------------------------------------------------- mapping
@@ -468,6 +498,35 @@ def test_step_selected_rows_come_from_the_candidate_set():
                                      trace.explosion_sparks_mapped, trace.gaussian_sparks_mapped))
         assert np.array_equal(state.fireworks, candidates[trace.selected])
         assert trace.selected[0] == np.argmin(objective.evaluate_many(candidates))
+
+
+@pytest.mark.parametrize(
+    "function,seed,mutant_dims",
+    [("f7", 2, [2, 2, 1, 1, 2]), ("f1", 10, [11, 5, 30, 11, 3])],
+)
+def test_step_integer_draws_follow_the_shuffle_crossover(function, seed, mutant_dims):
+    # f7 is 2-d, so every mutant's shuffle is drawn as scalar calls; f1's
+    # mutants cross the crossover (3 swaps scalar, the rest as one array
+    # call); M - 1 = 4 selection swaps are one array call
+    objective = make_objective(function)
+    config = RunConfig(seed=seed)
+    state, rng = make_state(objective, config, seed)
+    recorder = RecordingRng(rng)
+    trace = GenerationTrace()
+    lfwa_step(state, objective, config, recorder, trace=trace)
+    m, d = config.population_size, objective.dim
+
+    expected = []
+    for n in mutant_dims:
+        expected += [(0, m), (1, d + 1)]
+        expected += [(j, d) for j in range(n)] if n <= 3 else [(list(range(n)), d)]
+    pool = 2 * m + 1 + int(trace.spark_counts.sum()) + config.gaussian_spark_count - 1
+    expected.append((list(range(m - 1)), pool))
+    integer_calls = [(size, bounds) for kind, size, bounds, _ in recorder.tape if kind == "integers"]
+    assert integer_calls == [(None, bounds) for bounds in expected]
+    drawn_dims = [value for kind, _, bounds, value in recorder.tape
+                  if kind == "integers" and bounds == (1, d + 1)]
+    assert drawn_dims == mutant_dims
 
 
 # --------------------------------------------------------------------- run

@@ -6,12 +6,13 @@ recorded tape in the engine's documented order, one call per batch:
 
   1. one uniform block of shape (sum of counts, 1), or (sum of counts,)
      with scalar_beta: the displacement betas, firework by firework
-  2. per Gaussian mutant: parent index, n, one integer draw with low
-     [0, .., n-1] for the dimension swaps, one normal
+  2. per Gaussian mutant: parent index, n, the single dimension swap as
+     the scalar draw integers(0, 1), one normal
   3. one uniform block with one beta per violated coordinate, explosion
      sparks first, then mutants (no call when nothing is out of bounds)
-  4. selection: one integer draw with low [0, .., M-2] for the partial
-     Fisher-Yates swaps
+  4. selection: the M - 1 partial Fisher-Yates swaps, as one scalar draw
+     integers(j, pool) per swap when M - 1 is at most SCALAR_SWAPS_MAX,
+     otherwise as one integer draw with low [0, .., M-2]
 
 The tape replay checks the kind, size and integer bounds of every call, so
 a change to how draws are batched fails here even when the values agree.
@@ -20,6 +21,9 @@ tests against the engine's GenerationTrace.
 """
 
 import math
+
+# The engine draws a shuffle of at most this many swaps as scalar calls.
+SCALAR_SWAPS_MAX = 3
 
 
 def straight_line_generation(fireworks, pbest, core, evaluate, lower, upper, config, rng):
@@ -67,7 +71,7 @@ def straight_line_generation(fireworks, pbest, core, evaluate, lower, upper, con
         parents.append(parent)
         n = rng.integers(1, 2)
         assert n == 1
-        assert list(rng.integers([0], 1)) == [0]  # the single-dimension swap
+        assert rng.integers(0, 1) == 0  # the single-dimension swap
         factor = rng.normal() + 1.0
         raw_mutants.append(fireworks[parent][0] * factor)
 
@@ -103,7 +107,10 @@ def straight_line_generation(fireworks, pbest, core, evaluate, lower, upper, con
         if candidates[i][1] < candidates[elite][1]:
             elite = i
     pool = [i for i in range(len(candidates)) if i != elite]
-    swaps = rng.integers(list(range(m - 1)), len(pool))
+    if m - 1 <= SCALAR_SWAPS_MAX:
+        swaps = [rng.integers(j, len(pool)) for j in range(m - 1)]
+    else:
+        swaps = rng.integers(list(range(m - 1)), len(pool))
     for j in range(m - 1):
         swap = int(swaps[j])
         pool[j], pool[swap] = pool[swap], pool[j]
