@@ -113,31 +113,23 @@ def _run_grid(args, algorithms: list[str], functions: list[str]):
         "jobs": args.jobs,
         "experiments": {},
     }
+    cells = [(algorithm, function, harness.ALGORITHMS[algorithm].params(args.pop_size))
+             for algorithm in algorithms for function in functions]
+    results = harness.run_grid(cells, args.runs, config, base_seed=args.seed, jobs=args.jobs)
     all_records = {}
-    for algorithm in algorithms:
-        params = harness.ALGORITHMS[algorithm].params(args.pop_size)
-        for function in functions:
-            summary, records = harness.run_experiment(
-                algorithm,
-                function,
-                args.runs,
-                config,
-                base_seed=args.seed,
-                params=params,
-                jobs=args.jobs,
+    for (algorithm, function, params), (summary, records) in zip(cells, results):
+        rows.append(
+            harness.build_summary_row(
+                algorithm, function, args.runs, config, summary, args.seed, params
             )
-            rows.append(
-                harness.build_summary_row(
-                    algorithm, function, args.runs, config, summary, args.seed, params
-                )
-            )
-            all_records[(algorithm, function)] = records
-            provenance["experiments"][f"{algorithm}/{function}"] = {
-                "parameters": harness.resolved_parameters(algorithm, config, params),
-                "objective": make_objective(function).metadata,
-                "finals": [float(v) for v in summary.finals],
-                "evaluations": [r.evaluations_used for r in records],
-            }
+        )
+        all_records[(algorithm, function)] = records
+        provenance["experiments"][f"{algorithm}/{function}"] = {
+            "parameters": harness.resolved_parameters(algorithm, config, params),
+            "objective": make_objective(function).metadata,
+            "finals": [float(v) for v in summary.finals],
+            "evaluations": [r.evaluations_used for r in records],
+        }
     return rows, all_records, provenance
 
 

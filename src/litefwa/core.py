@@ -4,6 +4,7 @@ configuration, and ``drive``, which records every algorithm's runs."""
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from itertools import islice
@@ -59,9 +60,20 @@ class SearchSpace:
         return self.lower + rng.uniform(size=(count, self.dim)) * self.width
 
 
+def _is_real(value) -> bool:
+    """True for a real number (numpy scalars included) or a real-valued array;
+    False for a string, None, a complex number or an object array."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "biuf"
+    return isinstance(value, numbers.Real)
+
+
 def require_finite(**values) -> None:
-    """Raise ValueError naming the first value that holds a NaN or an infinity."""
+    """Raise ValueError naming the first value that is not real or that holds
+    a NaN or an infinity."""
     for name, value in values.items():
+        if not _is_real(value):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value!r}")
 
@@ -180,10 +192,12 @@ class RunConfig:
             raise ValueError("max_iterations must be nonnegative")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+        if not (_is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
-        if not (math.isfinite(self.xi) and self.xi > 0):
+        if not (_is_real(self.xi) and math.isfinite(self.xi) and self.xi > 0):
             raise ValueError(f"xi must be finite and positive, got {self.xi!r}")
+        if not isinstance(self.scalar_beta, bool):
+            raise ValueError(f"scalar_beta must be a bool, got {self.scalar_beta!r}")
         if (
             self.gaussian_sparks_per_generation is not None
             and self.gaussian_sparks_per_generation < 1

@@ -7,6 +7,10 @@ pinned here and printed in provenance files), plus the fraction of runs
 whose final best lies within the tolerance of the objective's declared
 optimum. Convergence curves are exported as per-iteration means across runs
 with optional per-run columns and an optional log10 transform.
+
+``run_grid`` runs a grid of experiments as one flat task list, cell by cell
+and seed by seed, through one process pool per call, and joins the results
+by position; ``run_experiment`` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "ALGORITHMS",
     "Algorithm",
     "run_experiment",
+    "run_grid",
     "summarize",
     "export_curves",
     "CurveTable",
@@ -149,6 +154,39 @@ def _execute_run(algorithm: str, objective_name: str, config: RunConfig, params)
         ) from exc
 
 
+def run_grid(
+    cells, runs: int, config: RunConfig, base_seed: int, jobs: int = 1
+) -> list[tuple[ExperimentSummary, list[RunRecord]]]:
+    """One ``(summary, records)`` per ``(algorithm, function, params)``
+    cell, from ``runs`` replications with seeds ``base_seed + i``. All cells
+    are checked, and None params defaulted, before any run; the replications
+    run as one task list, through one process pool when ``jobs > 1``, and are
+    split back by position, never by completion order."""
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    tasks, declared = [], []
+    for algorithm, function, params in cells:
+        if algorithm not in ALGORITHMS:
+            valid = ", ".join(ALGORITHMS)
+            raise KeyError(f"unknown algorithm {algorithm!r}; valid names: {valid}")
+        if params is None:
+            params = ALGORITHMS[algorithm].params()
+        declared.append(make_objective(function).declared_optimum)
+        tasks.extend(
+            (algorithm, function, replace(config, seed=base_seed + i), params) for i in range(runs)
+        )
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            records = list(pool.map(_execute_run, *zip(*tasks)))
+    else:
+        records = [_execute_run(*task) for task in tasks]
+    cell_records = [records[k : k + runs] for k in range(0, len(records), runs)]
+    return [
+        (summarize([r.final_best.fitness for r in cell], optimum, config.tolerance), cell)
+        for optimum, cell in zip(declared, cell_records)
+    ]
+
+
 def run_experiment(
     algorithm: str,
     objective_name: str,
@@ -158,39 +196,9 @@ def run_experiment(
     params=None,
     jobs: int = 1,
 ) -> tuple[ExperimentSummary, list[RunRecord]]:
-    """Execute ``runs`` independent replications and aggregate their finals.
-
-    Replication i uses seed ``base_seed + i``. With ``jobs > 1`` the
-    replications run in separate processes; results are joined in seed
-    order, so the output never depends on completion order.
-    """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    if algorithm not in ALGORITHMS:
-        valid = ", ".join(ALGORITHMS)
-        raise KeyError(f"unknown algorithm {algorithm!r}; valid names: {valid}")
-    if params is None:
-        params = ALGORITHMS[algorithm].params()
-    declared = make_objective(objective_name).declared_optimum
-
-    configs = [replace(config, seed=base_seed + i) for i in range(runs)]
-    if jobs > 1 and runs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, runs)) as pool:
-            records = list(
-                pool.map(
-                    _execute_run,
-                    [algorithm] * runs,
-                    [objective_name] * runs,
-                    configs,
-                    [params] * runs,
-                )
-            )
-    else:
-        records = [_execute_run(algorithm, objective_name, c, params) for c in configs]
-
-    finals = np.array([r.final_best.fitness for r in records])
-    summary = summarize(finals, declared, config.tolerance)
-    return summary, records
+    """Execute ``runs`` independent replications and aggregate their finals:
+    ``run_grid`` over the one cell."""
+    return run_grid([(algorithm, objective_name, params)], runs, config, base_seed, jobs)[0]
 
 
 @dataclass(frozen=True)

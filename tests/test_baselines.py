@@ -59,6 +59,15 @@ def test_params_reject_non_finite_fields(params_class, field, value):
         params_class(**{field: value})
 
 
+@pytest.mark.parametrize("value", ["40", None])
+@pytest.mark.parametrize("params_class,field", PARAMS_FIELDS)
+def test_params_reject_non_numeric_fields_by_name(params_class, field, value):
+    # numpy's isfinite raised "ufunc 'isfinite' not supported" for these,
+    # naming no field
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
+        params_class(**{field: value})
+
+
 INTEGER_PARAMS_FIELDS = [
     (FwaParams, "total_spark_budget"),
     (FwaParams, "gaussian_spark_count"),

@@ -6,6 +6,7 @@ names it relies on are checked here. ``bench/`` is read, never changed."""
 
 import os
 import sys
+from itertools import product
 
 import pytest
 
@@ -73,3 +74,26 @@ def test_grid_share_patch_points_are_looked_up_at_call_time(monkeypatch):
     monkeypatch.setattr(harness, "_execute_run", counting_run)
     harness.run_experiment("lfwa", "f7", 2, RunConfig(max_iterations=2), base_seed=0)
     assert calls == [("lfwa", "f7")] * 2
+
+
+def test_compare_reaches_execute_run_once_per_replication_in_cell_major_seed_order(
+    monkeypatch, tmp_path
+):
+    # The tracer and grid_share.py time replications by patching
+    # harness._execute_run; a compare must still call it through the module,
+    # one call per (algorithm, function, seed), cell by cell.
+    calls = []
+    execute_run = harness._execute_run
+
+    def counting_run(algorithm, function, config, params):
+        calls.append((algorithm, function, config.seed))
+        return execute_run(algorithm, function, config, params)
+
+    monkeypatch.setattr(harness, "_execute_run", counting_run)
+    monkeypatch.chdir(tmp_path)
+    code = litefwa.cli.main(
+        ["compare", "--algorithms", "spso,lfwa", "--functions", "f9,f7",
+         "--runs", "3", "--iterations", "2", "--seed", "5", "--jobs", "1"]
+    )
+    assert code == 0
+    assert calls == list(product(["spso", "lfwa"], ["f9", "f7"], [5, 6, 7]))

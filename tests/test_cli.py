@@ -1,8 +1,12 @@
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import pytest
 
+from litefwa import harness
 from litefwa.cli import _expand_algorithms, _expand_functions, _function_slug, build_parser, main
 
 
@@ -200,7 +204,7 @@ def test_missing_output_directory_fails_before_any_run(args, tmp_path, capsys, m
     def no_runs(*args, **kwargs):
         raise AssertionError("an experiment ran before the output directory was checked")
 
-    monkeypatch.setattr("litefwa.harness.run_experiment", no_runs)
+    monkeypatch.setattr("litefwa.harness._execute_run", no_runs)
     code, out, err = run_cli(
         args + ["--runs", "1", "--iterations", "5", "--jobs", "1",
                 "--output", os.path.join("missing", "base")],
@@ -226,7 +230,7 @@ def test_jobs_below_one_is_a_usage_error(args, jobs, tmp_path, capsys, monkeypat
     def no_runs(*args, **kwargs):
         raise AssertionError("an experiment ran with an invalid --jobs")
 
-    monkeypatch.setattr("litefwa.harness.run_experiment", no_runs)
+    monkeypatch.setattr("litefwa.harness._execute_run", no_runs)
     code, out, err = run_cli(
         args + ["--runs", "1", "--iterations", "5", "--jobs", jobs], tmp_path, capsys
     )
@@ -249,7 +253,7 @@ def test_negative_seed_is_a_usage_error(args, tmp_path, capsys, monkeypatch):
     def no_runs(*args, **kwargs):
         raise AssertionError("an experiment ran with a negative --seed")
 
-    monkeypatch.setattr("litefwa.harness.run_experiment", no_runs)
+    monkeypatch.setattr("litefwa.harness._execute_run", no_runs)
     code, out, err = run_cli(
         args + ["--runs", "1", "--iterations", "5", "--jobs", "1", "--seed", "-1"],
         tmp_path, capsys,
@@ -293,3 +297,62 @@ def test_jobs_changes_no_output_byte_but_its_own_provenance_field(args, tmp_path
         outputs[jobs] = out, files, provenance
     assert outputs[1] == outputs[2]
     assert len(outputs[1][1]) == (1 if args[0] == "compare" else 2)  # summary, curves
+
+
+class CountingForkPool(ProcessPoolExecutor):
+    """The harness's pool, counted, and forked so that its workers inherit
+    whatever a test patched into the parent."""
+
+    created = 0
+
+    def __init__(self, max_workers=None):
+        type(self).created += 1
+        super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"))
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    monkeypatch.setattr(CountingForkPool, "created", 0)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingForkPool)
+    return CountingForkPool
+
+
+@pytest.mark.parametrize(
+    "args,jobs,pools",
+    [
+        (["compare", "--algorithms", "lfwa,spso", "--functions", "f7,f9"], 2, 1),
+        (["compare", "--algorithms", "lfwa,spso", "--functions", "f7,f9"], 1, 0),
+        (["run", "--algorithm", "spso", "--function", "f7"], 2, 1),
+    ],
+    ids=["compare-jobs2", "compare-jobs1", "run-jobs2"],
+)
+def test_one_process_pool_per_call(args, jobs, pools, counting_pool, tmp_path, capsys):
+    argv = args + ["--runs", "2", "--iterations", "5", "--jobs", str(jobs)]
+    code, _, _ = run_cli(argv, tmp_path, capsys)
+    assert code == 0
+    assert counting_pool.created == pools
+
+
+def test_failed_run_in_the_last_cell_of_a_pooled_compare(
+    counting_pool, monkeypatch, tmp_path, capsys
+):
+    run_ba = harness.ALGORITHMS["ba"].run
+
+    def ba_failing_at_seed_3(objective, params, config):
+        if objective.name == "f9" and config.seed == 3:
+            raise ArithmeticError("boom")
+        return run_ba(objective, params, config)
+
+    monkeypatch.setitem(
+        harness.ALGORITHMS, "ba", replace(harness.ALGORITHMS["ba"], run=ba_failing_at_seed_3)
+    )
+    code, out, err = run_cli(
+        ["compare", "--algorithms", "lfwa,ba", "--functions", "f7,f9",
+         "--runs", "2", "--iterations", "5", "--seed", "2", "--jobs", "2"],
+        tmp_path, capsys,
+    )
+    assert code == 1
+    assert "ba run on f9 with seed 3 failed: boom" in err
+    assert out == ""
+    assert counting_pool.created == 1
+    assert list(tmp_path.iterdir()) == []

@@ -11,6 +11,7 @@ from litefwa.core import (
     RunConfig,
     RunRecord,
     SearchSpace,
+    require_finite,
 )
 from litefwa.lfwa import lfwa_run
 
@@ -160,16 +161,29 @@ def test_run_config_defaults_and_validation():
         RunConfig(gaussian_sparks_per_generation=0)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "1", None, 1j])
 def test_run_config_rejects_non_finite_tolerance(value):
     with pytest.raises(ValueError, match="tolerance must be finite"):
         RunConfig(tolerance=value)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, "1", None])
 def test_run_config_rejects_non_finite_or_nonpositive_xi(value):
     with pytest.raises(ValueError, match="xi must be finite and positive"):
         RunConfig(xi=value)
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_run_config_scalar_beta_must_be_a_bool(value):
+    # a truthy non-bool used to run as True
+    with pytest.raises(ValueError, match=f"^scalar_beta must be a bool, got {value!r}$"):
+        RunConfig(scalar_beta=value)
+
+
+@pytest.mark.parametrize("value", ["1", None, 1j, [1.0], np.array(["1"])])
+def test_require_finite_names_a_non_real_value(value):
+    with pytest.raises(ValueError, match="^width must be a real number, got "):
+        require_finite(width=value)
 
 
 # None is gaussian_sparks_per_generation's documented default

@@ -16,6 +16,7 @@ from litefwa.harness import (
     params_fingerprint,
     resolved_parameters,
     run_experiment,
+    run_grid,
     summarize,
     write_curves_csv,
     write_provenance_json,
@@ -200,6 +201,43 @@ def test_default_params_registry():
     assert ALGORITHMS["ba"].params().population == 30
     with pytest.raises(KeyError, match="unknown algorithm 'nope'; valid names: lfwa, fwa, spso, ba"):
         run_experiment("nope", "f1", 1, FAST, base_seed=0, params=SpsoParams())
+
+
+GRID_CELLS = [("lfwa", "f9", None), ("spso", "f7", SpsoParams(swarm_size=6)), ("ba", "f8", None)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_grid_joins_each_cell_in_seed_order_as_run_experiment_does(jobs):
+    results = run_grid(GRID_CELLS, 3, FAST, base_seed=4, jobs=jobs)
+    assert len(results) == len(GRID_CELLS)
+    for (algorithm, function, params), (summary, records) in zip(GRID_CELLS, results):
+        alone, alone_records = run_experiment(algorithm, function, 3, FAST, 4, params=params)
+        assert [(r.algorithm, r.objective, r.seed) for r in records] == [
+            (algorithm, function, seed) for seed in (4, 5, 6)
+        ]
+        assert summary.finals.tolist() == alone.finals.tolist()
+        assert summary.success_rate == alone.success_rate
+        for a, b in zip(records, alone_records):
+            assert np.array_equal(a.trajectory, b.trajectory)
+            assert a.evaluations_used == b.evaluations_used
+
+
+def test_run_grid_checks_every_cell_before_any_run(monkeypatch):
+    import litefwa.harness as harness
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run or a pool started before every cell was checked")
+
+    monkeypatch.setattr(harness, "_execute_run", no_runs)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_runs)
+    with pytest.raises(KeyError, match="unknown algorithm 'cmaes'; valid names"):
+        run_grid(GRID_CELLS + [("cmaes", "f1", None)], 2, FAST, base_seed=0, jobs=2)
+    from litefwa.benchmarks import ObjectiveLookupError
+
+    with pytest.raises(ObjectiveLookupError, match="valid names"):
+        run_grid(GRID_CELLS + [("lfwa", "f99", None)], 2, FAST, base_seed=0, jobs=2)
+    with pytest.raises(ValueError, match="runs must be at least 1"):
+        run_grid(GRID_CELLS, 0, FAST, base_seed=0, jobs=2)
 
 
 @pytest.mark.parametrize(
