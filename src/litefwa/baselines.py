@@ -106,8 +106,7 @@ class BaParams:
 def _random_dim_masks(rows: int, dim: int, per_row_counts: np.ndarray, rng: RngStream) -> np.ndarray:
     """Boolean (rows, dim) mask with exactly per_row_counts[k] True entries
     per row, each subset uniform; one batched draw."""
-    noise = np.asarray(rng.uniform(size=(rows, dim)))
-    ranks = np.argsort(np.argsort(noise, axis=1), axis=1)
+    ranks = rng.uniform(size=(rows, dim)).argsort(axis=1).argsort(axis=1)
     return ranks < per_row_counts[:, None]
 
 
@@ -120,73 +119,75 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
     d = objective.dim
     eps = config.xi
     budget = params.total_spark_budget
-    low_clamp = int(round(params.intensity_min_fraction * budget))
+    low_clamp = max(int(round(params.intensity_min_fraction * budget)), 1)
     high_clamp = int(round(params.intensity_max_fraction * budget))
+    fireworks = np.arange(m)
 
+    # The generation calls ufuncs and array methods, not the numpy wrappers
+    # around them (np.sum, np.clip, np.round, np.argsort, np.vstack, ...),
+    # which run the same loops; fancy indexing already returns a copy.
     def generations(rng: RngStream):
         positions = objective.space.sample(rng, m)
         fitness = objective.evaluate_many(positions)
-        best_idx = int(np.argmin(fitness))
+        best_idx = int(fitness.argmin())
         best_position, best_fitness = positions[best_idx].copy(), float(fitness[best_idx])
 
         while True:
             yield best_position, best_fitness
-            f_max = fitness.max()
-            f_min = fitness.min()
-            raw_counts = budget * (f_max - fitness + eps) / (np.sum(f_max - fitness) + eps)
-            counts = np.clip(np.round(raw_counts).astype(int), max(low_clamp, 1), high_clamp)
+            f_max = np.maximum.reduce(fitness)
+            f_min = np.minimum.reduce(fitness)
+            raw_counts = budget * (f_max - fitness + eps) / (np.add.reduce(f_max - fitness) + eps)
+            counts = np.minimum(np.maximum(np.rint(raw_counts).astype(int), low_clamp), high_clamp)
             amplitudes = (
-                params.max_amplitude * (fitness - f_min + eps) / (np.sum(fitness - f_min) + eps)
+                params.max_amplitude * (fitness - f_min + eps) / (np.add.reduce(fitness - f_min) + eps)
             )
 
             # Explosion sparks, batched: each spark displaces a random subset
             # of dimensions of its parent by one shared amplitude-scaled offset.
-            total = int(counts.sum())
-            parents = np.repeat(np.arange(m), counts)
-            sparks = positions[parents].copy()
-            z = np.round(d * np.asarray(rng.uniform(size=total))).astype(int)
+            parents = fireworks.repeat(counts)
+            total = parents.size
+            sparks = positions[parents]
+            z = np.rint(d * rng.uniform(size=total)).astype(int)
             masks = _random_dim_masks(total, d, z, rng)
-            offsets = amplitudes[parents] * (2.0 * np.asarray(rng.uniform(size=total)) - 1.0)
+            offsets = amplitudes[parents] * (2.0 * rng.uniform(size=total) - 1.0)
             sparks += masks * offsets[:, None]
 
             g = params.gaussian_spark_count
-            g_parents = np.asarray(rng.integers(0, m, size=g))
-            mutants = positions[g_parents].copy()
-            gz = np.round(d * np.asarray(rng.uniform(size=g))).astype(int)
+            mutants = positions[rng.integers(0, m, size=g)]
+            gz = np.rint(d * rng.uniform(size=g)).astype(int)
             g_masks = _random_dim_masks(g, d, gz, rng)
-            factors = 1.0 + np.asarray(rng.normal(size=g))
+            factors = 1.0 + rng.normal(size=g)
             mutants = np.where(g_masks, mutants * factors[:, None], mutants)
 
-            new_positions = map_into_bounds(np.vstack([sparks, mutants]), objective.space, rng)
+            new_positions = map_into_bounds(np.concatenate((sparks, mutants)), objective.space, rng)
             spark_fitness = objective.evaluate_many(new_positions)
-            cand_positions = np.vstack([positions, new_positions])
-            cand_fitness = np.concatenate([fitness, spark_fitness])
+            cand_positions = np.concatenate((positions, new_positions))
+            cand_fitness = np.concatenate((fitness, spark_fitness))
 
-            elite = int(np.argmin(cand_fitness))
+            elite = int(cand_fitness.argmin())
             if cand_fitness[elite] < best_fitness:
                 best_position = cand_positions[elite].copy()
                 best_fitness = float(cand_fitness[elite])
 
             # Distance-based roulette over the non-elite candidates: crowded
             # regions get lower selection pressure.
-            sq = np.sum(cand_positions**2, axis=1)
+            sq = np.add.reduce(cand_positions * cand_positions, axis=1)
             gram2 = 2.0 * cand_positions @ cand_positions.T
             dist_sq = np.maximum(sq[:, None] + sq[None, :] - gram2, 0.0)
-            crowding = np.sqrt(dist_sq).sum(axis=1)
-            pool = np.arange(len(cand_fitness)) != elite
-            weights = crowding[pool]
-            weight_sum = weights.sum()
+            crowding = np.add.reduce(np.sqrt(dist_sq), axis=1)
+            pool_indices = (np.arange(cand_fitness.size) != elite).nonzero()[0]
+            weights = crowding[pool_indices]
+            weight_sum = np.add.reduce(weights)
             if weight_sum <= 0:
                 probs = np.full(weights.size, 1.0 / weights.size)
             else:
                 probs = weights / weight_sum
-            cumulative = np.cumsum(probs)
-            pool_indices = np.flatnonzero(pool)
-            spins = np.asarray(rng.uniform(size=m - 1))
-            picks = pool_indices[np.minimum(np.searchsorted(cumulative, spins), weights.size - 1)]
+            cumulative = np.add.accumulate(probs)
+            spins = rng.uniform(size=m - 1)
+            picks = pool_indices[np.minimum(cumulative.searchsorted(spins), weights.size - 1)]
             keep = np.concatenate(([elite], picks))
-            positions = cand_positions[keep].copy()
-            fitness = cand_fitness[keep].copy()
+            positions = cand_positions[keep]
+            fitness = cand_fitness[keep]
 
     return drive("fwa", objective, config, generations)
 
@@ -250,12 +251,17 @@ def ba_run(objective: Objective, params: BaParams, config: RunConfig) -> RunReco
     n = params.population
     d = objective.dim
     space = objective.space
-    frequency_span = params.frequency_max - params.frequency_min
+    f_min = params.frequency_min
+    frequency_span = params.frequency_max - f_min
+    pulse_rate, pulse_growth = params.pulse_rate, params.pulse_growth
+    step_scale, decay = params.local_step_scale, params.loudness_decay
 
     def generations(rng: RngStream):
-        positions = space.sample(rng, n)
-        fitness = objective.evaluate_many(positions).tolist()
-        velocities = np.zeros_like(positions)
+        uniform, normal = rng.uniform, rng.normal
+        sample = space.sample(rng, n)
+        fitness = objective.evaluate_many(sample).tolist()
+        positions = list(sample)
+        velocities = list(np.zeros_like(sample))
         loudness = np.full(n, params.loudness)
         g = int(np.argmin(fitness))
         best_position = positions[g].copy()
@@ -263,23 +269,24 @@ def ba_run(objective: Objective, params: BaParams, config: RunConfig) -> RunReco
 
         for t in count(1):
             yield best_position, best_fitness
-            pulse = params.pulse_rate * (1.0 - np.exp(-params.pulse_growth * t))
+            pulse = pulse_rate * (1.0 - np.exp(-pulse_growth * t))
             for i in range(n):
-                freq = params.frequency_min + frequency_span * rng.uniform()
+                freq = f_min + frequency_span * uniform()
                 velocity = velocities[i]
                 velocity += (positions[i] - best_position) * freq
-                if rng.uniform() < pulse:
-                    step = np.asarray(rng.normal(size=d))
-                    candidate = best_position + params.local_step_scale * loudness.mean() * step
+                if uniform() < pulse:
+                    # np.add.reduce(...) / n is the mean's sum and division
+                    step = step_scale * (np.add.reduce(loudness) / n) * normal(size=d)
+                    candidate = best_position + step
                 else:
                     candidate = positions[i] + velocity
                 # A fresh array: the best may keep it without a copy.
                 candidate = map_into_bounds(candidate, space, rng)
                 value = objective.evaluate(candidate)
-                if value <= fitness[i] and rng.uniform() < loudness[i]:
+                if value <= fitness[i] and uniform() < loudness[i]:
                     positions[i] = candidate
                     fitness[i] = value
-                    loudness[i] *= params.loudness_decay
+                    loudness[i] *= decay
                 if value < best_fitness:
                     best_position = candidate
                     best_fitness = value

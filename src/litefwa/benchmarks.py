@@ -36,7 +36,9 @@ class ObjectiveLookupError(KeyError):
 class Objective:
     """A benchmark function plus the metadata used for success bookkeeping.
 
-    ``declared_optimum`` is the target value a run is judged against.
+    ``func`` maps positions of shape ``(..., dim)`` to values of shape
+    ``(...)``: a ``(dim,)`` row to a scalar, an ``(n, dim)`` batch to ``n``
+    values. ``declared_optimum`` is the target value a run is judged against.
     ``known_minimizer`` is a point attaining it (absent for f6, where no
     such point exists on the domain). ``eval_count`` tallies every
     evaluation performed through this instance; callers that need
@@ -58,12 +60,18 @@ class Objective:
 
     def evaluate(self, position) -> float:
         """Evaluate one position of shape ``(dim,)``, incrementing the
-        evaluation counter by 1; the value equals ``evaluate_many`` on the
-        position as a one-row batch."""
+        evaluation counter by 1; ``func`` gets the row itself, and the value
+        equals ``evaluate_many`` on the position as a one-row batch."""
         position = np.asarray(position, dtype=float)
         if position.shape != (self.dim,):
             raise self._shape_error(position)
-        value = float(self.func(position[None, :])[0])
+        try:
+            value = self.func(position)
+        except IndexError as exc:  # batch-only indexing: axis=1, x[:, k] (AxisError too)
+            raise self._contract_error(position, f"raised {type(exc).__name__}: {exc}") from exc
+        if getattr(value, "ndim", 0):
+            raise self._contract_error(position, f"gave shape {value.shape}")
+        value = float(value)
         self.eval_count += 1
         if not math.isfinite(value):
             raise EvaluationError(f"{self.name} returned non-finite value {value!r}", position)
@@ -75,6 +83,8 @@ class Objective:
         if positions.ndim != 2 or positions.shape[1] != self.dim:
             raise self._shape_error(positions)
         values = np.asarray(self.func(positions), dtype=float)
+        if values.shape != positions.shape[:1]:
+            raise self._contract_error(positions, f"gave shape {values.shape}")
         self.eval_count += len(positions)
         bad = ~np.isfinite(values)
         if np.any(bad):
@@ -83,6 +93,12 @@ class Objective:
                 f"{self.name} returned non-finite value {values[i]!r}", positions[i]
             )
         return values
+
+    def _contract_error(self, positions: np.ndarray, outcome: str) -> ValueError:
+        return ValueError(
+            f"{self.name}: func must map positions of shape (..., {self.dim}) to "
+            f"values of shape (...); positions of shape {positions.shape} {outcome}"
+        )
 
     def _shape_error(self, positions: np.ndarray) -> ValueError:
         return ValueError(
@@ -113,31 +129,37 @@ class Objective:
         }
 
 
-# The kernels call the ufunc reductions directly: np.sum, np.prod and np.mean
-# run the same reductions (and np.mean the same true division) behind a
-# Python wrapper whose cost exceeds the arithmetic on the single rows that
-# the bat algorithm evaluates.
+# Each kernel maps (..., d) to (...): one (d,) row gives a scalar and an
+# (n, d) batch n values, with the same bits for a row alone or inside a batch
+# (the reductions run over the last axis, one row at a time). They call the
+# ufunc reductions directly: np.sum, np.prod and np.mean run the same
+# reductions (and np.mean the same true division) behind a Python wrapper
+# whose cost exceeds the arithmetic on the single rows that the bat algorithm
+# evaluates. On a row, ``x[..., k]`` is a 0-d array, whose ``**`` is the
+# array power, but arithmetic on it gives numpy scalars, whose ``**`` calls
+# the C library's pow and can differ from the array power in the last bit;
+# such intermediates square by multiplication, which ``** 2`` on an array is.
 
 
 def _sphere(x: np.ndarray) -> np.ndarray:
-    return np.add.reduce(x * x, axis=1)
+    return np.add.reduce(x * x, axis=-1)
 
 
 def _rosenbrock(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(
-        100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (x[:, :-1] - 1.0) ** 2, axis=1
+        100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (x[..., :-1] - 1.0) ** 2, axis=-1
     )
 
 
 def _rastrigin(x: np.ndarray) -> np.ndarray:
-    return np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=1)
+    return np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
 
 
 def _griewank(x: np.ndarray) -> np.ndarray:
-    i = np.arange(1, x.shape[1] + 1, dtype=float)
+    i = np.arange(1, x.shape[-1] + 1, dtype=float)
     return (
-        np.add.reduce(x * x, axis=1) / 4000.0
-        - np.multiply.reduce(np.cos(x / np.sqrt(i)), axis=1)
+        np.add.reduce(x * x, axis=-1) / 4000.0
+        - np.multiply.reduce(np.cos(x / np.sqrt(i)), axis=-1)
         + 1.0
     )
 
@@ -145,38 +167,42 @@ def _griewank(x: np.ndarray) -> np.ndarray:
 def _ackley(x: np.ndarray) -> np.ndarray:
     # Term order matters at convergence: evaluated left to right this form
     # bottoms out at a few ulps of e instead of exactly 0.
-    n = x.shape[1]
+    n = x.shape[-1]
     return (
-        -20.0 * np.exp(-0.2 * np.sqrt(np.add.reduce(x * x, axis=1) / n))
-        - np.exp(np.add.reduce(np.cos(2.0 * np.pi * x), axis=1) / n)
+        -20.0 * np.exp(-0.2 * np.sqrt(np.add.reduce(x * x, axis=-1) / n))
+        - np.exp(np.add.reduce(np.cos(2.0 * np.pi * x), axis=-1) / n)
         + 20.0
         + np.e
     )
 
 
 def _schwefel_as_circulated(x: np.ndarray) -> np.ndarray:
-    return np.add.reduce(-x * np.sin(np.sqrt(np.abs(x))), axis=1)
+    return np.add.reduce(-x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
 def _six_hump_camel_back(x: np.ndarray) -> np.ndarray:
-    x1, x2 = x[:, 0], x[:, 1]
+    x1, x2 = x[..., 0], x[..., 1]
     return 4.0 * x1**2 - 2.1 * x1**4 + x1**6 / 3.0 + x1 * x2 - 4.0 * x2**2 + 4.0 * x2**4
 
 
 def _goldstein_price(x: np.ndarray) -> np.ndarray:
-    x1, x2 = x[:, 0], x[:, 1]
-    a = 1.0 + (x1 + x2 + 1.0) ** 2 * (
+    x1, x2 = x[..., 0], x[..., 1]
+    s = x1 + x2 + 1.0
+    t = 2.0 * x1 - 3.0 * x2
+    a = 1.0 + s * s * (
         19.0 - 14.0 * x1 + 3.0 * x1**2 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2**2
     )
-    b = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (
+    b = 30.0 + t * t * (
         18.0 - 32.0 * x1 + 12.0 * x1**2 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2**2
     )
     return a * b
 
 
 def _schaffer_f6(x: np.ndarray) -> np.ndarray:
-    rr = x[:, 0] ** 2 + x[:, 1] ** 2
-    return 0.5 + (np.sin(np.sqrt(rr)) ** 2 - 0.5) / (1.0 + 0.001 * rr) ** 2
+    rr = x[..., 0] ** 2 + x[..., 1] ** 2
+    s = np.sin(np.sqrt(rr))
+    q = 1.0 + 0.001 * rr
+    return 0.5 + (s * s - 0.5) / (q * q)
 
 
 _REGISTRY: dict[str, dict] = {

@@ -242,7 +242,7 @@ def _scalar_sphere(name="sphere1d"):
         space=SearchSpace.symmetric(100.0, 1),
         declared_optimum=0.0,
         known_minimizer=np.zeros(1),
-        func=lambda x: np.sum(x * x, axis=1),
+        func=lambda x: np.sum(x * x, axis=-1),
     )
 
 

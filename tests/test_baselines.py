@@ -25,7 +25,7 @@ def flat_objective(dim=3, value=2.5):
         space=SearchSpace.symmetric(10.0, dim),
         declared_optimum=value,
         known_minimizer=np.zeros(dim),
-        func=lambda x: np.full(len(x), value),
+        func=lambda x: np.full(np.shape(x)[:-1], value),
     )
 
 

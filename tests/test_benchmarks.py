@@ -80,7 +80,7 @@ def test_dimension_mismatch_raises():
 
 def test_non_finite_value_raises_evaluation_error():
     obj = make_objective("f1")
-    obj.func = lambda x: np.full(len(x), np.nan)
+    obj.func = lambda x: np.full(np.shape(x)[:-1], np.nan)
     x = np.linspace(-1.0, 1.0, 30)
     with pytest.raises(EvaluationError) as info:
         obj.evaluate(x)
@@ -117,6 +117,68 @@ def test_evaluate_rejects_every_other_shape(name):
     for shape in [(obj.dim + 1,), (1, obj.dim), ()]:
         with pytest.raises(ValueError, match=f"dimension {obj.dim}, got array of shape"):
             obj.evaluate(np.zeros(shape))
+    assert obj.eval_count == 0
+
+
+@st.composite
+def kernel_batches(draw):
+    """A registry function, a random in-box batch, and an index k whose row
+    hypothesis draws (and may pick from the edges of the box)."""
+    name = draw(st.sampled_from(objective_names()))
+    obj = make_objective(name)
+    rows = draw(st.integers(1, 40))
+    k = draw(st.integers(0, rows - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = rng.uniform(obj.space.lower, obj.space.upper, (rows, obj.dim))
+    coordinate = st.floats(obj.space.lower[0], obj.space.upper[0], allow_nan=False)
+    batch[k] = draw(st.lists(coordinate, min_size=obj.dim, max_size=obj.dim))
+    return obj.func, batch, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=kernel_batches())
+def test_kernel_scores_a_row_alone_and_in_a_batch_with_the_same_bits(case):
+    # Single-row callers (BA) and batch callers (the rest) must score one
+    # point identically: a (d,) row reduces to a scalar with the bits of its
+    # entry in any batch.
+    func, batch, k = case
+    row = batch[k].copy()
+    alone = func(row)
+    assert np.ndim(alone) == 0
+    assert np.float64(alone).tobytes() == func(row[None])[0].tobytes()
+    assert np.float64(alone).tobytes() == func(batch)[k].tobytes()
+
+
+@pytest.mark.parametrize("name", objective_names())
+def test_kernel_scores_every_row_of_a_large_batch_alone_with_the_same_bits(name):
+    # A last-bit difference between the scalar and the array arithmetic (a
+    # numpy scalar's ``** 2`` against the array square, say) shows on about
+    # one row in a few thousand, too rarely for the property above to meet.
+    obj = make_objective(name)
+    batch = np.random.default_rng(9).uniform(obj.space.lower, obj.space.upper, (20000, obj.dim))
+    alone = np.array([obj.func(row) for row in batch])
+    assert alone.tobytes() == obj.func(batch).tobytes()
+
+
+@pytest.mark.parametrize(
+    "func",
+    [lambda x: np.full(len(x), 2.0), lambda x: np.sum(x * x, axis=1), lambda x: x[:, 0]],
+    ids=["one-value-per-row", "axis-1-reduction", "column-index"],
+)
+def test_evaluate_names_the_func_contract_for_a_batch_only_func(func):
+    obj = make_objective("f1")
+    obj.func = func
+    message = r"f1: func must map positions of shape \(\.\.\., 30\) to values of shape \(\.\.\.\)"
+    with pytest.raises(ValueError, match=message + r"; positions of shape \(30,\)"):
+        obj.evaluate(np.zeros(30))
+    assert obj.eval_count == 0
+
+
+def test_evaluate_many_names_the_func_contract_for_a_scalar_func():
+    obj = make_objective("f7")
+    obj.func = lambda x: 1.5
+    with pytest.raises(ValueError, match=r"positions of shape \(4, 2\) gave shape \(\)"):
+        obj.evaluate_many(np.zeros((4, 2)))
     assert obj.eval_count == 0
 
 

@@ -42,7 +42,7 @@ def sphere_objective(dim, half_width=100.0, name="sphere"):
         space=SearchSpace.symmetric(half_width, dim),
         declared_optimum=0.0,
         known_minimizer=np.zeros(dim),
-        func=lambda x: np.sum(x * x, axis=1),
+        func=lambda x: np.sum(x * x, axis=-1),
     )
 
 
@@ -54,7 +54,7 @@ def constant_objective(dim, value=7.0):
         space=SearchSpace.symmetric(10.0, dim),
         declared_optimum=value,
         known_minimizer=np.zeros(dim),
-        func=lambda x: np.full(len(x), value),
+        func=lambda x: np.full(np.shape(x)[:-1], value),
     )
 
 
