@@ -23,7 +23,7 @@ from .core import (
     drive,
     map_into_bounds,
     require_finite,
-    require_integer,
+    store_integers,
 )
 
 __all__ = ["FwaParams", "SpsoParams", "BaParams", "fwa_run", "spso_run", "ba_run"]
@@ -41,10 +41,7 @@ class FwaParams:
 
     def __post_init__(self) -> None:
         require_finite(**vars(self))
-        require_integer(
-            total_spark_budget=self.total_spark_budget,
-            gaussian_spark_count=self.gaussian_spark_count,
-        )
+        store_integers(self, "total_spark_budget", "gaussian_spark_count")
         if not 0.0 < self.intensity_min_fraction < self.intensity_max_fraction < 1.0:
             raise ValueError("need 0 < min fraction < max fraction < 1")
         if self.total_spark_budget < 1 or self.gaussian_spark_count < 1:
@@ -66,7 +63,7 @@ class SpsoParams:
 
     def __post_init__(self) -> None:
         require_finite(**vars(self))
-        require_integer(swarm_size=self.swarm_size)
+        store_integers(self, "swarm_size")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be at least 2")
         if self.cognitive <= 0 or self.social <= 0:
@@ -92,7 +89,7 @@ class BaParams:
 
     def __post_init__(self) -> None:
         require_finite(**vars(self))
-        require_integer(population=self.population)
+        store_integers(self, "population")
         if self.population < 2:
             raise ValueError("population must be at least 2")
         if self.frequency_min > self.frequency_max:

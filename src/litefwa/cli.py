@@ -146,15 +146,16 @@ def cmd_run(args, summary: bool = True, curves: bool = True) -> int:
         )
     base = _output_base(args, algorithms, functions)
     rows, all_records, provenance = _run_grid(args, algorithms, functions)
+    if curves:  # before any file is written: export_curves rejects some curves
+        (records,) = all_records.values()
+        table = harness.export_curves(records, transform=args.transform)
     written = []
     if summary:
         written.append(f"{base}_summary.{args.format}")
         writers = {"csv": harness.write_summary_csv, "json": harness.write_summary_json}
         writers[args.format](written[-1], rows)
     if curves:
-        (records,) = all_records.values()
         written.append(f"{base}_curves.csv")
-        table = harness.export_curves(records, transform=args.transform)
         harness.write_curves_csv(written[-1], table)
     written.append(f"{base}_provenance.json")
     harness.write_provenance_json(written[-1], provenance)

@@ -78,12 +78,15 @@ def require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def require_integer(**values) -> None:
-    """Raise ValueError naming the first value that is not an integer, that
-    is, one ``operator.index`` refuses (floats, NaN, strings)."""
-    for name, value in values.items():
+def store_integers(instance, *names) -> None:
+    """Replace each named field of the frozen dataclass ``instance`` by
+    ``operator.index`` of its value, so a numpy integer is stored as a Python
+    int; raise ValueError naming the first value that is not an integer, one
+    ``operator.index`` refuses (floats, NaN, strings)."""
+    for name in names:
+        value = getattr(instance, name)
         try:
-            operator.index(value)
+            object.__setattr__(instance, name, operator.index(value))
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
@@ -127,11 +130,40 @@ class RngStream:
     with identical call sequences reproduce identical outputs bit for bit.
     The three primitives below are the only randomness the optimizers use,
     which keeps runs replayable from a recorded tape of draws.
+
+    One kind of draw bypasses numpy's ``Generator.integers``, whose argument
+    handling is most of a scalar call's cost: a single draw with Python-int
+    bounds ``0 <= low < high - 1 < 2**32 - 1``. It reads the bit generator's
+    32-bit output through ``bit_generator.ctypes.next_uint32`` and applies
+    numpy's own rule for such a range, Lemire's multiply-and-reject (Lemire,
+    "Fast Random Integer Generation in an Interval", ACM TOMACS 2019).
+    ``next_uint32`` shares the buffered half-word that numpy's integer path
+    uses, so both paths interleave exactly and ``bit_generator.state``
+    describes the stream. ``tests/test_core.py``'s
+    ``test_scalar_integer_fast_path_matches_numpy`` pins the values and the
+    final state to a plain numpy ``Generator``. Every other integer draw
+    goes through numpy: array bounds, ``size``, numpy-int bounds, a range of
+    1 (numpy draws nothing there), a negative ``low`` and a ``high`` of 2**32
+    or more.
     """
 
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._bind_bits()
+
+    def _bind_bits(self) -> None:
+        # self._gen keeps alive the bit generator whose state the pointer addresses
+        bits = self._gen.bit_generator.ctypes
+        self._next_uint32, self._bits_state = bits.next_uint32, bits.state
+
+    def __getstate__(self) -> dict:
+        # a ctypes pointer cannot be pickled; a copy binds to its own generator
+        return {"seed": self.seed, "_gen": self._gen}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_bits()
 
     def uniform(self, size=None):
         """Uniform draw(s) from [0, 1)."""
@@ -148,6 +180,17 @@ class RngStream:
         values and the final stream state of the scalar draws made one
         after another; scalar bounds without ``size`` give a Python int.
         """
+        if (size is None and type(low) is int and type(high) is int
+                and 0 <= low < high - 1 < 0xFFFFFFFF):
+            # numpy's bounded draw for a 32-bit range: the high word of a
+            # 32x32-bit product, rejecting the low words below the threshold
+            excl = high - low
+            m = self._next_uint32(self._bits_state) * excl
+            if m & 0xFFFFFFFF < excl:
+                threshold = (0x100000000 - excl) % excl
+                while m & 0xFFFFFFFF < threshold:
+                    m = self._next_uint32(self._bits_state) * excl
+            return low + (m >> 32)
         out = self._gen.integers(low, high, size=size)
         return out if isinstance(out, np.ndarray) else int(out)
 
@@ -163,7 +206,8 @@ class RunConfig:
     constant that keeps the intensity exponent finite when all fitnesses
     coincide; it defaults to machine epsilon. ``gaussian_sparks_per_generation``
     of ``None`` means one mutant per firework (M total). The counts and the
-    seed must be integers (numpy integers included), the seed nonnegative.
+    seed must be integers (numpy integers included, stored as Python ints),
+    the seed nonnegative.
 
     ``scalar_beta`` switches the displacement step from one uniform draw per
     dimension (default) to a single shared draw per spark, for comparison
@@ -179,13 +223,9 @@ class RunConfig:
     scalar_beta: bool = False
 
     def __post_init__(self) -> None:
-        require_integer(
-            population_size=self.population_size,
-            max_iterations=self.max_iterations,
-            seed=self.seed,
-        )
+        store_integers(self, "population_size", "max_iterations", "seed")
         if self.gaussian_sparks_per_generation is not None:
-            require_integer(gaussian_sparks_per_generation=self.gaussian_sparks_per_generation)
+            store_integers(self, "gaussian_sparks_per_generation")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.max_iterations < 0:

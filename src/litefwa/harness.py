@@ -213,7 +213,8 @@ def export_curves(records: list[RunRecord], transform: str = "raw", include_runs
     """Per-iteration mean best-so-far across runs, with per-run columns.
 
     ``transform="log10"`` takes log10 of every emitted value, flooring the
-    argument at 1e-300 first so exact zeros stay plottable.
+    argument at 1e-300 first so exact zeros stay plottable; a negative value
+    (f6 and f7 reach them) raises ValueError naming the lowest one.
     """
     if not records:
         raise ValueError("records must be non-empty")
@@ -236,6 +237,11 @@ def export_curves(records: list[RunRecord], transform: str = "raw", include_runs
             data.append(row)
     rows = np.column_stack(data)
     if transform == "log10":
+        lowest = rows[:, 1:].min()
+        if lowest < 0:
+            raise ValueError(
+                f"log10 transform needs nonnegative values; the lowest is {float(lowest)!r}"
+            )
         rows[:, 1:] = np.log10(np.maximum(rows[:, 1:], LOG10_FLOOR))
     return CurveTable(columns=columns, rows=rows)
 

@@ -16,15 +16,17 @@ Its random draws, in order, are:
   1. one uniform block for all displacement betas, shape (sum(s_i), d), or
      (sum(s_i),) with ``scalar_beta``, fireworks in slot order;
   2. per Gaussian mutant: the parent index, n, the n swaps of the
-     dimension shuffle (n scalar integer draws for n <= 3, otherwise one
+     dimension shuffle (n scalar integer draws for n <= 10, otherwise one
      integer draw), then one normal;
   3. one uniform block for the out-of-bounds coordinates of all explosion
      sparks then all mutants, row-major (no draw when none is out of bounds);
   4. the M - 1 swaps of the selection shuffle (M - 1 scalar integer draws
-     for M <= 4, otherwise one integer draw).
+     for M <= 11, otherwise one integer draw).
 
 Short shuffles draw scalars because an ``integers`` call with an array
-``low`` costs about as much as four scalar calls whatever its length; the
+``low`` costs about as much as ten or eleven scalar calls whatever its
+length: ``RngStream`` takes a scalar draw straight from the bit generator,
+while an array ``low`` goes through numpy's argument handling. The
 crossover is ``_SCALAR_SWAPS_MAX``.
 
 This is the draw sequence of the per-firework formulation (one uniform block
@@ -179,9 +181,10 @@ def generate_explosion_sparks(
 
 # Longest shuffle drawn as scalar calls. Through RngStream, with numpy 2.4
 # and Python 3.11 on a 2-core x86_64 machine, an integer draw with an array
-# low cost about 10 us whatever its length and k scalar draws about 2.6k us,
-# so the two break even at four swaps.
-_SCALAR_SWAPS_MAX = 3
+# low costs about 11 us whatever its length, and k scalar draws, which
+# RngStream takes straight from the bit generator, about 1.05k us; the two
+# break even between ten and eleven swaps.
+_SCALAR_SWAPS_MAX = 10
 
 
 def _sample_without_replacement(n: int, k: int, rng: RngStream) -> list[int]:

@@ -149,6 +149,21 @@ def test_curve_log10_transform(tmp_path, capsys):
     assert len(lines) == 10  # header + 9 iterations (init + 8)
 
 
+@pytest.mark.parametrize("verb", ["run", "curve"])
+def test_log10_curve_of_negative_values_is_a_usage_error(verb, tmp_path, capsys):
+    # f7's best-so-far goes below zero; nothing is written, not even the summary
+    code, _, err = run_cli(
+        [
+            verb, "--algorithm", "lfwa", "--function", "f7",
+            "--runs", "2", "--iterations", "5", "--transform", "log10", "--jobs", "1",
+        ],
+        tmp_path, capsys,
+    )
+    assert code == 2
+    assert "log10 transform needs nonnegative values; the lowest is -" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_provenance_records_resolved_parameters(tmp_path, capsys):
     run_cli(
         [

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +131,48 @@ def test_rng_uniform_split_equals_joined(seed, sizes, width, interleave):
     parts = [split.uniform(size=(size, width)) for size in sizes]
     assert np.array_equal(block, np.concatenate(parts))
     assert _state(joined) == _state(split)
+
+
+# 2**31 has threshold 0, so a threshold off by one rejects about half its
+# draws; over 2**31 + 1 about half the draws reject at least once and a
+# quarter at least twice; a range of 1 draws nothing; a high of 2**32 or
+# more and a negative low take numpy's own paths
+_INTEGER_RANGES = [1, 2, 30, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**40]
+_DRAWS = st.one_of(
+    st.tuples(st.just("integers"), st.integers(-3, 7), st.sampled_from(_INTEGER_RANGES)),
+    st.tuples(st.just("array"), st.integers(1, 12), st.sampled_from(_INTEGER_RANGES)),
+    st.tuples(st.sampled_from(["uniform", "normal"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), draws=st.lists(_DRAWS, min_size=1, max_size=40))
+def test_scalar_integer_fast_path_matches_numpy(seed, draws):
+    # RngStream computes scalar integer draws itself from the bit generator's
+    # 32-bit output; a plain numpy Generator is the reference, draw by draw
+    rng, ref = RngStream(seed), np.random.Generator(np.random.PCG64(seed))
+    for kind, *args in draws:
+        if kind == "integers":
+            low, span = args
+            got, want = rng.integers(low, low + span), ref.integers(low, low + span)
+            assert type(got) is int and got == want, (low, span)
+        elif kind == "array":
+            k, span = args
+            low = np.arange(k)
+            assert np.array_equal(rng.integers(low, k + span), ref.integers(low, k + span))
+        elif kind == "uniform":
+            assert rng.uniform() == ref.random()
+        else:
+            assert rng.normal() == ref.standard_normal()
+    assert _state(rng) == ref.bit_generator.state
+
+
+def test_rng_stream_copies_continue_the_stream_on_their_own():
+    rng = RngStream(4)
+    rng.integers(0, 7)  # leaves a buffered 32-bit half-word
+    copies = [copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))]
+    draws = [[c.integers(0, 30) for _ in range(9)] for c in copies]
+    assert draws[0] == draws[1] == [rng.integers(0, 30) for _ in range(9)]
 
 
 def test_rng_integers_scalar_bounds_give_python_int():

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from litefwa.baselines import BaParams, SpsoParams
+from litefwa.baselines import BaParams, FwaParams, SpsoParams
+from litefwa.benchmarks import make_objective
 from litefwa.core import Individual, RunConfig, RunRecord
 from litefwa.harness import (
     ALGORITHMS,
@@ -121,6 +122,16 @@ def test_curves_log10_floors_exact_zero():
     table = export_curves([record], transform="log10")
     assert table.rows[0, 1] == 0.0
     assert table.rows[1, 1] == -300.0
+
+
+def test_curves_log10_rejects_negative_values():
+    # a floor would write -300.0 for them, which reads as convergence to 1e-300
+    records = [record_from([2.0, -0.5, -1.25], seed=0), record_from([3.0, 0.0, 0.0], seed=1)]
+    with pytest.raises(ValueError, match=r"nonnegative.*the lowest is -1\.25"):
+        export_curves(records, transform="log10")
+    with pytest.raises(ValueError, match=r"the lowest is -0\.625"):
+        export_curves(records, transform="log10", include_runs=False)
+    assert export_curves(records).rows[2, 1] == -0.625
 
 
 def test_curves_mixed_lengths_error():
@@ -282,6 +293,37 @@ def test_summary_row_and_csv_round_trip(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "lfwa"
     assert float(cells[7]) == summary.mean
+
+
+@pytest.mark.parametrize(
+    "algorithm,numpy_params",
+    [
+        ("lfwa", None),
+        ("fwa", FwaParams(total_spark_budget=np.int64(50), gaussian_spark_count=np.int32(5))),
+        ("spso", SpsoParams(swarm_size=np.int64(30))),
+        ("ba", BaParams(population=np.uint16(30))),
+    ],
+)
+def test_numpy_integer_fields_give_the_int_run(algorithm, numpy_params, tmp_path):
+    int_config = RunConfig(population_size=5, max_iterations=6, seed=3,
+                           gaussian_sparks_per_generation=4)
+    numpy_config = RunConfig(population_size=np.int64(5), max_iterations=np.int32(6),
+                             seed=np.uint8(3), gaussian_sparks_per_generation=np.int64(4))
+    int_params = ALGORITHMS[algorithm].params()
+    assert numpy_config == int_config and numpy_params == int_params
+    for fields in (vars(numpy_config), vars(numpy_params) if numpy_params else {}):
+        assert not any(isinstance(v, np.integer) for v in fields.values()), fields
+    results = []
+    for config, params in ((int_config, int_params), (numpy_config, numpy_params)):
+        payload = resolved_parameters(algorithm, config, params)
+        path = tmp_path / f"{len(results)}.json"
+        write_provenance_json(path, payload)
+        record = ALGORITHMS[algorithm].run(make_objective("f7"), params, config)
+        assert type(record.seed) is int
+        results.append((params_fingerprint(payload), path.read_bytes(), record.seed,
+                        record.trajectory.tobytes(), record.final_best.position.tobytes(),
+                        record.evaluations_used))
+    assert results[0] == results[1]
 
 
 def test_fingerprint_is_stable_and_sensitive():

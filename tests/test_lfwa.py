@@ -506,8 +506,8 @@ def test_step_selected_rows_come_from_the_candidate_set():
 )
 def test_step_integer_draws_follow_the_shuffle_crossover(function, seed, mutant_dims):
     # f7 is 2-d, so every mutant's shuffle is drawn as scalar calls; f1's
-    # mutants cross the crossover (3 swaps scalar, the rest as one array
-    # call); M - 1 = 4 selection swaps are one array call
+    # mutants cross the crossover (up to _SCALAR_SWAPS_MAX swaps scalar,
+    # longer shuffles as one array call), and so may the M - 1 selection swaps
     objective = make_objective(function)
     config = RunConfig(seed=seed)
     state, rng = make_state(objective, config, seed)
@@ -516,12 +516,17 @@ def test_step_integer_draws_follow_the_shuffle_crossover(function, seed, mutant_
     lfwa_step(state, objective, config, recorder, trace=trace)
     m, d = config.population_size, objective.dim
 
+    def shuffle_calls(k, n):
+        if k <= _SCALAR_SWAPS_MAX:
+            return [(j, n) for j in range(k)]
+        return [(list(range(k)), n)]
+
     expected = []
     for n in mutant_dims:
         expected += [(0, m), (1, d + 1)]
-        expected += [(j, d) for j in range(n)] if n <= 3 else [(list(range(n)), d)]
+        expected += shuffle_calls(n, d)
     pool = 2 * m + 1 + int(trace.spark_counts.sum()) + config.gaussian_spark_count - 1
-    expected.append((list(range(m - 1)), pool))
+    expected += shuffle_calls(m - 1, pool)
     integer_calls = [(size, bounds) for kind, size, bounds, _ in recorder.tape if kind == "integers"]
     assert integer_calls == [(None, bounds) for bounds in expected]
     drawn_dims = [value for kind, _, bounds, value in recorder.tape

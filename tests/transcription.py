@@ -23,7 +23,7 @@ tests against the engine's GenerationTrace.
 import math
 
 # The engine draws a shuffle of at most this many swaps as scalar calls.
-SCALAR_SWAPS_MAX = 3
+SCALAR_SWAPS_MAX = 10
 
 
 def straight_line_generation(fireworks, pbest, core, evaluate, lower, upper, config, rng):
