@@ -17,13 +17,13 @@ import numpy as np
 
 from .benchmarks import Objective
 from .core import (
+    XI,
     RngStream,
     RunConfig,
     RunRecord,
     drive,
     map_into_bounds,
-    require_finite,
-    store_integers,
+    store_numbers,
 )
 
 __all__ = ["FwaParams", "SpsoParams", "BaParams", "fwa_run", "spso_run", "ba_run"]
@@ -40,8 +40,7 @@ class FwaParams:
     gaussian_spark_count: int = 5
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
-        store_integers(self, "total_spark_budget", "gaussian_spark_count")
+        store_numbers(self, "total_spark_budget", "gaussian_spark_count")
         if not 0.0 < self.intensity_min_fraction < self.intensity_max_fraction < 1.0:
             raise ValueError("need 0 < min fraction < max fraction < 1")
         if self.total_spark_budget < 1 or self.gaussian_spark_count < 1:
@@ -62,8 +61,7 @@ class SpsoParams:
     velocity_clamp_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
-        store_integers(self, "swarm_size")
+        store_numbers(self, "swarm_size")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be at least 2")
         if self.cognitive <= 0 or self.social <= 0:
@@ -88,8 +86,7 @@ class BaParams:
     local_step_scale: float = 0.1
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
-        store_integers(self, "population")
+        store_numbers(self, "population")
         if self.population < 2:
             raise ValueError("population must be at least 2")
         if self.frequency_min > self.frequency_max:
@@ -114,7 +111,6 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
     that always keeps the best candidate."""
     m = config.population_size
     d = objective.dim
-    eps = config.xi
     budget = params.total_spark_budget
     low_clamp = max(int(round(params.intensity_min_fraction * budget)), 1)
     high_clamp = int(round(params.intensity_max_fraction * budget))
@@ -133,10 +129,10 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
             yield best_position, best_fitness
             f_max = np.maximum.reduce(fitness)
             f_min = np.minimum.reduce(fitness)
-            raw_counts = budget * (f_max - fitness + eps) / (np.add.reduce(f_max - fitness) + eps)
+            raw_counts = budget * (f_max - fitness + XI) / (np.add.reduce(f_max - fitness) + XI)
             counts = np.minimum(np.maximum(np.rint(raw_counts).astype(int), low_clamp), high_clamp)
             amplitudes = (
-                params.max_amplitude * (fitness - f_min + eps) / (np.add.reduce(fitness - f_min) + eps)
+                params.max_amplitude * (fitness - f_min + XI) / (np.add.reduce(fitness - f_min) + XI)
             )
 
             # Explosion sparks, batched: each spark displaces a random subset

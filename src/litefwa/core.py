@@ -91,6 +91,21 @@ def store_integers(instance, *names) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def store_numbers(instance, *integers) -> None:
+    """Check and store every field of the frozen dataclass ``instance``:
+    ``require_finite`` over all fields, then ``store_integers`` over the
+    named ``integers``, then every other field stored as a Python float, so
+    numpy scalars give the same instance and fingerprint as plain numbers."""
+    fields = dict(vars(instance))
+    require_finite(**fields)
+    store_integers(instance, *integers)
+    for name, value in fields.items():
+        if name not in integers:
+            if np.ndim(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(instance, name, float(value))
+
+
 def map_into_bounds(positions, space: SearchSpace, rng: "RngStream") -> np.ndarray:
     """Re-place out-of-bounds coordinates uniformly inside the box.
 
@@ -198,20 +213,20 @@ class RngStream:
         return f"RngStream(seed={self.seed})"
 
 
+# Keeps the intensity exponent finite when all fitnesses coincide (LFWA) and
+# the FWA count and amplitude ratios defined; machine epsilon in both papers.
+XI = float(np.finfo(np.float64).eps)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Run protocol knobs shared by every algorithm.
 
-    ``population_size`` is the number of fireworks M. ``xi`` is the tiny
-    constant that keeps the intensity exponent finite when all fitnesses
-    coincide; it defaults to machine epsilon. ``gaussian_sparks_per_generation``
-    of ``None`` means one mutant per firework (M total). The counts and the
-    seed must be integers (numpy integers included, stored as Python ints),
-    the seed nonnegative.
-
-    ``scalar_beta`` switches the displacement step from one uniform draw per
-    dimension (default) to a single shared draw per spark, for comparison
-    against the whole-vector-displacement reading.
+    ``population_size`` is the number of fireworks M.
+    ``gaussian_sparks_per_generation`` of ``None`` means one mutant per
+    firework (M total). The counts and the seed must be integers (numpy
+    integers included, stored as Python ints), the seed nonnegative; the
+    tolerance is stored as a Python float.
     """
 
     population_size: int = 5
@@ -219,8 +234,6 @@ class RunConfig:
     tolerance: float = 1e-5
     seed: int = 0
     gaussian_sparks_per_generation: int | None = None
-    xi: float = float(np.finfo(np.float64).eps)
-    scalar_beta: bool = False
 
     def __post_init__(self) -> None:
         store_integers(self, "population_size", "max_iterations", "seed")
@@ -234,10 +247,7 @@ class RunConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if not (_is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
-        if not (_is_real(self.xi) and math.isfinite(self.xi) and self.xi > 0):
-            raise ValueError(f"xi must be finite and positive, got {self.xi!r}")
-        if not isinstance(self.scalar_beta, bool):
-            raise ValueError(f"scalar_beta must be a bool, got {self.scalar_beta!r}")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         if (
             self.gaussian_sparks_per_generation is not None
             and self.gaussian_sparks_per_generation < 1

@@ -6,7 +6,7 @@ mean, and population standard deviation (divide by N; the convention is
 pinned here and printed in provenance files), plus the fraction of runs
 whose final best lies within the tolerance of the objective's declared
 optimum. Convergence curves are exported as per-iteration means across runs
-with optional per-run columns and an optional log10 transform.
+with one column per run and an optional log10 transform.
 
 ``run_grid`` runs a grid of experiments as one flat task list, cell by cell
 and seed by seed, through one process pool per call, and joins the results
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import baselines, lfwa
 from .benchmarks import make_objective
-from .core import RunConfig, RunRecord
+from .core import XI, RunConfig, RunRecord
 
 __all__ = [
     "ExperimentSummary",
@@ -209,7 +209,7 @@ class CurveTable:
     rows: np.ndarray
 
 
-def export_curves(records: list[RunRecord], transform: str = "raw", include_runs: bool = True) -> CurveTable:
+def export_curves(records: list[RunRecord], transform: str = "raw") -> CurveTable:
     """Per-iteration mean best-so-far across runs, with per-run columns.
 
     ``transform="log10"`` takes log10 of every emitted value, flooring the
@@ -231,10 +231,9 @@ def export_curves(records: list[RunRecord], transform: str = "raw", include_runs
     mean = trajectories.mean(axis=0)
     columns = ["iteration", "mean_best"]
     data = [np.arange(trajectories.shape[1], dtype=float), mean]
-    if include_runs:
-        for r, row in zip(records, trajectories):
-            columns.append(f"run_{r.seed}")
-            data.append(row)
+    for r, row in zip(records, trajectories):
+        columns.append(f"run_{r.seed}")
+        data.append(row)
     rows = np.column_stack(data)
     if transform == "log10":
         lowest = rows[:, 1:].min()
@@ -262,8 +261,9 @@ def resolved_parameters(algorithm: str, config: RunConfig, params) -> dict:
         "max_iterations": config.max_iterations,
         "tolerance": config.tolerance,
         "gaussian_sparks_per_generation": config.gaussian_spark_count if run_config_only else None,
-        "xi": config.xi,
-        "scalar_beta": config.scalar_beta if run_config_only else None,
+        # constants, kept so every provenance byte and fingerprint stays as published
+        "xi": XI,
+        "scalar_beta": False if run_config_only else None,
         "sd_convention": "population (divide by N)",
         "algorithm_params": None if params is None else asdict(params),
     }

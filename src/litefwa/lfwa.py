@@ -13,8 +13,8 @@ The generation works on arrays: (M, d) positions and (M,) fitnesses for the
 fireworks and for the per-slot history, with candidates addressed by index.
 Its random draws, in order, are:
 
-  1. one uniform block for all displacement betas, shape (sum(s_i), d), or
-     (sum(s_i),) with ``scalar_beta``, fireworks in slot order;
+  1. one uniform block for all displacement betas, shape (sum(s_i), d),
+     fireworks in slot order;
   2. per Gaussian mutant: the parent index, n, the n swaps of the
      dimension shuffle (n scalar integer draws for n <= 10, otherwise one
      integer draw), then one normal;
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import Objective
-from .core import RngStream, RunConfig, RunRecord, drive, map_into_bounds
+from .core import XI, RngStream, RunConfig, RunRecord, drive, map_into_bounds
 
 __all__ = [
     "LfwaState",
@@ -110,25 +110,23 @@ class GenerationTrace:
     selected: np.ndarray | None = None
 
 
-def explosion_intensity(fitnesses, population_size: int, xi: float) -> np.ndarray:
+def explosion_intensity(fitnesses, population_size: int) -> np.ndarray:
     """Spark count per firework from its normalized fitness gap.
 
     Count i is ceil(M ** ((f_max - f_i) / (f_max - f_min + xi))): the worst
     firework gets ceil(M**0) = 1 spark and the best approaches M. The
-    ceiling keeps every count in [1, M], and xi keeps the exponent finite
-    when all fitnesses coincide.
+    ceiling keeps every count in [1, M], and xi, fixed at machine epsilon
+    (``core.XI``), keeps the exponent finite when all fitnesses coincide.
     """
     fitnesses = np.asarray(fitnesses, dtype=float)
     if population_size < 1:
         raise ValueError("population_size must be at least 1")
-    if not xi > 0:  # also rejects NaN
-        raise ValueError("xi must be positive")
     f_max = np.maximum.reduce(fitnesses)
     f_min = np.minimum.reduce(fitnesses)
     # a NaN propagates into both extrema, and an infinity is one of them
     if not (math.isfinite(f_max) and math.isfinite(f_min)):
         raise ValueError("all fitnesses must be finite")
-    exponents = (f_max - fitnesses) / (f_max - f_min + xi)
+    exponents = (f_max - fitnesses) / (f_max - f_min + XI)
     return np.ceil(np.power(float(population_size), exponents)).astype(int)
 
 
@@ -152,30 +150,21 @@ def explosion_radius(x, pbest, core, counts, s_avg: float) -> np.ndarray:
                     np.asarray(core, dtype=float) - x)
 
 
-def generate_explosion_sparks(
-    x,
-    radius,
-    counts,
-    rng: RngStream,
-    scalar_beta: bool = False,
-) -> np.ndarray:
+def generate_explosion_sparks(x, radius, counts, rng: RngStream) -> np.ndarray:
     """Displace each firework ``counts[i]`` times along its radius vector.
 
     Each spark is x_i + beta * radius_i with beta uniform in [0, 1), drawn
-    independently per dimension (or once per spark with ``scalar_beta``),
-    all in one draw. Sparks come back as one (sum(counts), d) array grouped
-    by firework in row order, unmapped; bounds handling happens later. One
-    1-d firework with an integer count is one row.
+    independently per dimension, all in one draw. Sparks come back as one
+    (sum(counts), d) array grouped by firework in row order, unmapped;
+    bounds handling happens later. One 1-d firework with an integer count
+    is one row.
     """
     x = np.asarray(x, dtype=float)
     radius = np.asarray(radius, dtype=float)
     if x.ndim == 1:
         x, radius, counts = x[None], radius[None], [counts]
     rows = np.arange(len(x)).repeat(counts)
-    if scalar_beta:
-        beta = rng.uniform(size=rows.size)[:, None]
-    else:
-        beta = rng.uniform(size=(rows.size, x.shape[1]))
+    beta = rng.uniform(size=(rows.size, x.shape[1]))
     return x[rows] + beta * radius[rows]
 
 
@@ -228,18 +217,15 @@ def select_next_generation(fitness, population_size: int, rng: RngStream) -> np.
     ``fitness`` holds one value per candidate; ``lfwa_step`` passes
     fireworks + pbest + core + all sparks, in that order. The single best
     candidate (first found wins ties) fills slot 0; the remaining slots are
-    drawn uniformly at random without replacement from the rest. Should the
-    pool ever be too small, the remainder is sampled with replacement.
+    drawn uniformly at random without replacement from the rest. Fewer
+    candidates than ``population_size`` raise ValueError; ``lfwa_step``
+    always passes at least 3M + 1 + G, with G the number of Gaussian mutants.
     """
+    if population_size > len(fitness):
+        raise ValueError(f"selection needs {population_size} candidates, got {len(fitness)}: "
+                         f"{population_size - len(fitness)} short")
     elite = int(np.asarray(fitness).argmin())
-    pool = len(fitness) - 1
-    needed = population_size - 1
-    if not pool:
-        return np.full(population_size, elite)
-    if needed <= pool:
-        picks = _sample_without_replacement(pool, needed, rng)
-    else:
-        picks = list(range(pool)) + [rng.integers(0, pool) for _ in range(needed - pool)]
+    picks = _sample_without_replacement(len(fitness) - 1, population_size - 1, rng)
     # pool entry p is candidate p, or p + 1 from the elite on
     return np.array([elite] + [p + (p >= elite) for p in picks])
 
@@ -255,10 +241,10 @@ def lfwa_step(
     m = config.population_size
     fireworks, pbest, pbest_fitness = state.fireworks, state.pbest, state.pbest_fitness
     core = state.core_index
-    counts = explosion_intensity(state.fitness, m, config.xi)
+    counts = explosion_intensity(state.fitness, m)
     s_avg = average_intensity(counts)
     radii = explosion_radius(fireworks, pbest, pbest[core], counts, s_avg)
-    raw_sparks = generate_explosion_sparks(fireworks, radii, counts, rng, config.scalar_beta)
+    raw_sparks = generate_explosion_sparks(fireworks, radii, counts, rng)
 
     # explosion sparks then Gaussian mutants, one row each
     n_explosion = len(raw_sparks)

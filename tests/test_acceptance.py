@@ -308,14 +308,13 @@ def test_criterion_6_equation_level_oracle(population):
 
 
 def test_criterion_7_property_suite():
-    xi = float(np.finfo(np.float64).eps)
     sampler = np.random.default_rng(123)
 
     # spark counts stay in [1, M] for arbitrary finite fitness vectors
     for _ in range(300):
         m = int(sampler.integers(1, 10))
         fits = sampler.normal(size=m) * 10.0 ** sampler.integers(-9, 9)
-        counts = explosion_intensity(fits, m, xi)
+        counts = explosion_intensity(fits, m)
         assert np.all((counts >= 1) & (counts <= m))
 
     # one short run, checking the branch rule, bounds closure, elite

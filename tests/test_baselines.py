@@ -91,6 +91,14 @@ def test_params_accept_numpy_integer_counts(params_class, field):
     assert params_class(**{field: np.int64(default)}) == params_class()
 
 
+@pytest.mark.parametrize("params_class,field", PARAMS_FIELDS)
+def test_params_reject_an_array_field_by_name(params_class, field):
+    # every field holds one number; an array passes the finiteness check
+    kind = "an integer" if field in {f for _, f in INTEGER_PARAMS_FIELDS} else "a real number"
+    with pytest.raises(ValueError, match=f"^{field} must be {kind}, got array"):
+        params_class(**{field: np.array([1.0, 2.0])})
+
+
 @pytest.mark.parametrize(
     "runner,params",
     [(fwa_run, FwaParams()), (spso_run, SpsoParams()), (ba_run, BaParams())],

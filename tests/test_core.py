@@ -186,7 +186,6 @@ def test_run_config_defaults_and_validation():
     assert config.population_size == 5
     assert config.max_iterations == 1000
     assert config.tolerance == 1e-5
-    assert config.xi == np.finfo(np.float64).eps
     assert config.gaussian_spark_count == 5
 
     assert RunConfig(gaussian_sparks_per_generation=3).gaussian_spark_count == 3
@@ -196,8 +195,6 @@ def test_run_config_defaults_and_validation():
         RunConfig(population_size=1)
     with pytest.raises(ValueError):
         RunConfig(tolerance=-1.0)
-    with pytest.raises(ValueError):
-        RunConfig(xi=0.0)
     with pytest.raises(ValueError):
         RunConfig(population_size=0)
     with pytest.raises(ValueError):
@@ -210,19 +207,6 @@ def test_run_config_defaults_and_validation():
 def test_run_config_rejects_non_finite_tolerance(value):
     with pytest.raises(ValueError, match="tolerance must be finite"):
         RunConfig(tolerance=value)
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, "1", None])
-def test_run_config_rejects_non_finite_or_nonpositive_xi(value):
-    with pytest.raises(ValueError, match="xi must be finite and positive"):
-        RunConfig(xi=value)
-
-
-@pytest.mark.parametrize("value", ["no", 1, None])
-def test_run_config_scalar_beta_must_be_a_bool(value):
-    # a truthy non-bool used to run as True
-    with pytest.raises(ValueError, match=f"^scalar_beta must be a bool, got {value!r}$"):
-        RunConfig(scalar_beta=value)
 
 
 @pytest.mark.parametrize("value", ["1", None, 1j, [1.0], np.array(["1"])])

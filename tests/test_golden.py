@@ -9,8 +9,8 @@ tables are checked:
   ``bench/golden.json`` (default ``RunConfig`` and parameters, 1000
   generations), read and never written here;
 - ``golden_lfwa.json`` next to this file: LFWA on all nine functions at
-  seeds 0..2 and 150 generations, plus ``scalar_beta``, population 2 and 8,
-  and three Gaussian mutants per generation on f7;
+  seeds 0..2 and 150 generations, plus population 2 and 8 and three
+  Gaussian mutants per generation on f7;
 - ``golden_baselines.json`` next to this file: FWA, SPSO and BA on all nine
   functions at seeds 0..2 and 150 iterations, plus parameter variants on f1
   and f7 (BA with a frequent local walk, with constant loudness and no
@@ -47,7 +47,6 @@ TABLE_ITERATIONS = 150
 TABLE_SEEDS = (0, 1, 2)
 # name -> RunConfig fields beyond seed and iterations, all on f7
 F7_VARIANTS = {
-    "scalar_beta": {"scalar_beta": True},
     "pop2": {"population_size": 2},
     "pop8": {"population_size": 8},
     "mutants3": {"gaussian_sparks_per_generation": 3},
@@ -160,8 +159,18 @@ def test_committed_baselines_table_covers_every_case():
 
 
 # FWA's crowding multiplies a Gram matrix through BLAS, the only BLAS call
-# in the package; these cases must not depend on how many threads share it.
+# in the package; these cases must not depend on how many threads share it,
+# nor on which core type's kernels OpenBLAS picks. OpenBLAS falls back to
+# the detected core for a name it does not know, and a build without
+# DYNAMIC_ARCH ignores OPENBLAS_CORETYPE, so no environment below needs a skip.
 BLAS_THREAD_CASES = ("fwa/f1/0", "fwa/f7/0")
+BLAS_ENVIRONMENTS = (
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "2"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"OPENBLAS_CORETYPE": "Nehalem"},
+    {"OPENBLAS_CORETYPE": "Sandybridge"},
+)
 
 
 def test_fwa_digests_do_not_depend_on_blas_threads():
@@ -171,16 +180,13 @@ def test_fwa_digests_do_not_depend_on_blas_threads():
         "    print(name, baseline_digest(*baseline_cases()[name]))\n"
     )
     src = os.path.join(os.path.dirname(HERE), "src")
-    outputs = {}
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([src, HERE])}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=300, check=True)
-        outputs[threads] = done.stdout
     expected = "".join(f"{name} {load_json(BASELINES_TABLE_PATH)[name]}\n"
                        for name in BLAS_THREAD_CASES)
-    assert outputs["1"] == outputs["2"] == expected
+    for blas in BLAS_ENVIRONMENTS:
+        env = {**os.environ, **blas, "PYTHONPATH": os.pathsep.join([src, HERE])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        assert done.stdout == expected, blas
 
 
 def write_table(path: str, table: dict) -> None:

@@ -129,8 +129,6 @@ def test_curves_log10_rejects_negative_values():
     records = [record_from([2.0, -0.5, -1.25], seed=0), record_from([3.0, 0.0, 0.0], seed=1)]
     with pytest.raises(ValueError, match=r"nonnegative.*the lowest is -1\.25"):
         export_curves(records, transform="log10")
-    with pytest.raises(ValueError, match=r"the lowest is -0\.625"):
-        export_curves(records, transform="log10", include_runs=False)
     assert export_curves(records).rows[2, 1] == -0.625
 
 
@@ -272,10 +270,10 @@ def test_registry_population_override(algorithm, expected_params, expected_popul
 
 
 def test_provenance_lfwa_only_fields():
-    config = RunConfig(scalar_beta=True)
+    config = RunConfig(gaussian_sparks_per_generation=3)
     for algorithm, entry in ALGORITHMS.items():
         payload = resolved_parameters(algorithm, config, entry.params())
-        expected = (5, True) if algorithm == "lfwa" else (None, None)
+        expected = (3, False) if algorithm == "lfwa" else (None, None)
         assert (payload["gaussian_sparks_per_generation"], payload["scalar_beta"]) == expected
 
 
@@ -302,19 +300,24 @@ def test_summary_row_and_csv_round_trip(tmp_path):
         ("fwa", FwaParams(total_spark_budget=np.int64(50), gaussian_spark_count=np.int32(5))),
         ("spso", SpsoParams(swarm_size=np.int64(30))),
         ("ba", BaParams(population=np.uint16(30))),
+        # numpy floats that represent the defaults exactly
+        ("fwa", FwaParams(max_amplitude=np.float32(40.0))),
+        ("spso", SpsoParams(cognitive=np.float32(2.0), velocity_clamp_fraction=np.float16(0.5))),
+        ("ba", BaParams(frequency_min=np.float16(0.0), frequency_max=np.float32(2.0))),
     ],
 )
 def test_numpy_integer_fields_give_the_int_run(algorithm, numpy_params, tmp_path):
-    int_config = RunConfig(population_size=5, max_iterations=6, seed=3,
-                           gaussian_sparks_per_generation=4)
+    plain_config = RunConfig(population_size=5, max_iterations=6, tolerance=0.5, seed=3,
+                             gaussian_sparks_per_generation=4)
     numpy_config = RunConfig(population_size=np.int64(5), max_iterations=np.int32(6),
-                             seed=np.uint8(3), gaussian_sparks_per_generation=np.int64(4))
-    int_params = ALGORITHMS[algorithm].params()
-    assert numpy_config == int_config and numpy_params == int_params
+                             tolerance=np.float16(0.5), seed=np.uint8(3),
+                             gaussian_sparks_per_generation=np.int64(4))
+    plain_params = ALGORITHMS[algorithm].params()
+    assert numpy_config == plain_config and numpy_params == plain_params
     for fields in (vars(numpy_config), vars(numpy_params) if numpy_params else {}):
-        assert not any(isinstance(v, np.integer) for v in fields.values()), fields
+        assert not any(isinstance(v, np.generic) for v in fields.values()), fields
     results = []
-    for config, params in ((int_config, int_params), (numpy_config, numpy_params)):
+    for config, params in ((plain_config, plain_params), (numpy_config, numpy_params)):
         payload = resolved_parameters(algorithm, config, params)
         path = tmp_path / f"{len(results)}.json"
         write_provenance_json(path, payload)

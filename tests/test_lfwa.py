@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import ConstantRng, RecordingRng
 from litefwa.benchmarks import Objective, make_objective
-from litefwa.core import RngStream, RunConfig, SearchSpace, map_into_bounds
+from litefwa.core import XI, RngStream, RunConfig, SearchSpace, map_into_bounds
 from litefwa.lfwa import (
     _SCALAR_SWAPS_MAX,
     GenerationTrace,
@@ -30,8 +30,6 @@ from litefwa.lfwa import (
     select_next_generation,
     _sample_without_replacement,
 )
-
-XI = float(np.finfo(np.float64).eps)
 
 
 def sphere_objective(dim, half_width=100.0, name="sphere"):
@@ -62,13 +60,13 @@ def constant_objective(dim, value=7.0):
 
 
 def test_intensity_worst_firework_gets_one_spark():
-    counts = explosion_intensity([1.0, 2.0, 3.0, 4.0, 5.0], 5, XI)
+    counts = explosion_intensity([1.0, 2.0, 3.0, 4.0, 5.0], 5)
     assert counts[-1] == 1
 
 
 def test_intensity_matches_scalar_recomputation():
     fitnesses = [1.0, 2.0, 3.0, 4.0, 5.0]
-    counts = explosion_intensity(fitnesses, 5, XI)
+    counts = explosion_intensity(fitnesses, 5)
     expected = [
         math.ceil(5.0 ** ((5.0 - f) / (5.0 - 1.0 + XI))) for f in fitnesses
     ]
@@ -77,7 +75,7 @@ def test_intensity_matches_scalar_recomputation():
 
 
 def test_intensity_flat_population_all_one():
-    counts = explosion_intensity([4.2] * 7, 7, XI)
+    counts = explosion_intensity([4.2] * 7, 7)
     assert list(counts) == [1] * 7
 
 
@@ -86,7 +84,7 @@ def test_intensity_bounds_and_monotonicity_property():
     for _ in range(200):
         m = int(rng.integers(1, 12))
         fitnesses = rng.normal(size=m) * 10.0 ** rng.integers(-12, 12)
-        counts = explosion_intensity(fitnesses, m, XI)
+        counts = explosion_intensity(fitnesses, m)
         assert np.all((counts >= 1) & (counts <= m))
         order = np.argsort(fitnesses)
         assert np.all(np.diff(counts[order]) <= 0)
@@ -95,13 +93,9 @@ def test_intensity_bounds_and_monotonicity_property():
 def test_intensity_rejects_bad_inputs():
     for bad in ([1.0, np.nan], [np.nan, np.nan], [1.0, np.inf], [-np.inf, 1.0], [np.inf, -np.inf]):
         with pytest.raises(ValueError, match="all fitnesses must be finite"):
-            explosion_intensity(bad, 2, XI)
+            explosion_intensity(bad, 2)
     with pytest.raises(ValueError):
-        explosion_intensity([1.0, 2.0], 2, 0.0)
-    with pytest.raises(ValueError):
-        explosion_intensity([1.0, 2.0], 2, float("nan"))
-    with pytest.raises(ValueError):
-        explosion_intensity([1.0], 0, XI)
+        explosion_intensity([1.0], 0)
 
 
 def test_average_intensity():
@@ -176,27 +170,16 @@ def test_sparks_stay_in_displacement_box_property():
         assert np.all(sparks >= lo) and np.all(sparks <= hi)
 
 
-@pytest.mark.parametrize("scalar_beta", [False, True])
-def test_sparks_batch_equals_consecutive_single_firework_calls(scalar_beta):
+def test_sparks_batch_equals_consecutive_single_firework_calls():
     sampler = np.random.default_rng(5)
     x = sampler.normal(size=(4, 3))
     radius = sampler.normal(size=(4, 3))
     counts = np.array([3, 1, 4, 2])
-    batch = generate_explosion_sparks(x, radius, counts, RngStream(8), scalar_beta)
+    batch = generate_explosion_sparks(x, radius, counts, RngStream(8))
     rng = RngStream(8)
-    rows = [generate_explosion_sparks(x[i], radius[i], counts[i], rng, scalar_beta)
-            for i in range(4)]
+    rows = [generate_explosion_sparks(x[i], radius[i], counts[i], rng) for i in range(4)]
     assert batch.shape == (10, 3)
     assert np.array_equal(batch, np.concatenate(rows))  # grouped by firework, bit for bit
-
-
-def test_sparks_scalar_beta_moves_all_dimensions_together():
-    rng = RngStream(3)
-    x = np.zeros(4)
-    radius = np.array([1.0, 2.0, -1.0, 4.0])
-    sparks = generate_explosion_sparks(x, radius, 50, rng, scalar_beta=True)
-    ratios = sparks / radius
-    assert np.allclose(ratios, ratios[:, :1])
 
 
 # ---------------------------------------------------------------- mutation
@@ -376,11 +359,14 @@ def test_selection_matches_scalar_fisher_yates_on_the_pool():
         assert out.tolist() == [elite] + pool[:5]
 
 
-def test_selection_small_pool_falls_back_to_replacement():
-    out = select_next_generation(np.array([1.0, 1.0]), 4, RngStream(1))
-    assert len(out) == 4
-    assert out[0] == 0 and np.all(out[1:] == 1)
-    assert select_next_generation(np.array([3.0]), 3, RngStream(1)).tolist() == [0, 0, 0]
+def test_selection_rejects_fewer_candidates_than_slots():
+    with pytest.raises(ValueError, match="^selection needs 4 candidates, got 2: 2 short$"):
+        select_next_generation(np.array([1.0, 1.0]), 4, RngStream(1))
+    with pytest.raises(ValueError, match="got 1: 2 short"):
+        select_next_generation(np.array([3.0]), 3, RngStream(1))
+    # exactly enough candidates: the elite, then every other one once
+    out = select_next_generation(np.array([2.0, 1.0, 3.0]), 3, RngStream(1))
+    assert out[0] == 1 and sorted(out.tolist()) == [0, 1, 2]
 
 
 # -------------------------------------------------------------------- step
@@ -568,12 +554,3 @@ def test_run_trajectory_length_and_monotone():
     assert np.all(np.diff(record.trajectory) <= 0.0)
     assert record.trajectory[-1] == record.final_best.fitness
 
-
-def test_run_scalar_beta_toggle_end_to_end():
-    config = RunConfig(max_iterations=40, seed=5, scalar_beta=True)
-    r1 = lfwa_run(make_objective("f9"), config)
-    r2 = lfwa_run(make_objective("f9"), config)
-    assert np.array_equal(r1.trajectory, r2.trajectory)
-    assert r1.trajectory[-1] < r1.trajectory[0]
-    default = lfwa_run(make_objective("f9"), RunConfig(max_iterations=40, seed=5))
-    assert not np.array_equal(default.trajectory, r1.trajectory)

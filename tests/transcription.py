@@ -4,8 +4,8 @@ Everything here is recomputed with plain scalar Python (math module, no
 vectorized shortcuts) for the 1-d case, consuming random draws from a
 recorded tape in the engine's documented order, one call per batch:
 
-  1. one uniform block of shape (sum of counts, 1), or (sum of counts,)
-     with scalar_beta: the displacement betas, firework by firework
+  1. one uniform block of shape (sum of counts, 1): the displacement
+     betas, firework by firework
   2. per Gaussian mutant: parent index, n, the single dimension swap as
      the scalar draw integers(0, 1), one normal
   3. one uniform block with one beta per violated coordinate, explosion
@@ -22,6 +22,8 @@ tests against the engine's GenerationTrace.
 
 import math
 
+from litefwa.core import XI
+
 # The engine draws a shuffle of at most this many swaps as scalar calls.
 SCALAR_SWAPS_MAX = 10
 
@@ -31,13 +33,13 @@ def straight_line_generation(fireworks, pbest, core, evaluate, lower, upper, con
     rules. ``fireworks``/``pbest`` are lists of (position, fitness) scalar
     pairs, ``core`` one such pair; ``rng`` replays a recorded tape."""
     m = len(fireworks)
-    xi = config.xi
 
-    # explosion intensity: ceil(M ** ((f_max - f_i) / (f_max - f_min + xi)))
+    # explosion intensity: ceil(M ** ((f_max - f_i) / (f_max - f_min + xi))),
+    # with xi machine epsilon
     fits = [f for (_, f) in fireworks]
     f_max = max(fits)
     f_min = min(fits)
-    counts = [math.ceil(m ** ((f_max - f) / (f_max - f_min + xi))) for f in fits]
+    counts = [math.ceil(m ** ((f_max - f) / (f_max - f_min + XI))) for f in fits]
 
     # average intensity
     s_avg = sum(counts) / m
@@ -53,10 +55,7 @@ def straight_line_generation(fireworks, pbest, core, evaluate, lower, upper, con
 
     # displacement: one uniform block for every spark, spark = x + beta * radius
     total = sum(counts)
-    if config.scalar_beta:
-        betas = [float(b) for b in rng.uniform(size=total)]
-    else:
-        betas = [float(row[0]) for row in rng.uniform(size=(total, 1))]
+    betas = [float(row[0]) for row in rng.uniform(size=(total, 1))]
     raw_sparks = []
     for i in range(m):
         for _ in range(counts[i]):
