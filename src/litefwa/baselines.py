@@ -18,6 +18,7 @@ import numpy as np
 from .benchmarks import Objective
 from .core import (
     XI,
+    EvaluationError,
     RngStream,
     RunConfig,
     RunRecord,
@@ -26,7 +27,7 @@ from .core import (
     store_numbers,
 )
 
-__all__ = ["FwaParams", "SpsoParams", "BaParams", "fwa_run", "spso_run", "ba_run"]
+__all__ = ["FwaParams", "SpsoParams", "BaParams", "fwa_run", "spso_run", "ba_run", "ba_runs"]
 
 
 @dataclass(frozen=True)
@@ -240,6 +241,7 @@ def ba_run(objective: Objective, params: BaParams, config: RunConfig) -> RunReco
     draws are: the frequency, the pulse test, ``d`` normals when the pulse
     fires, one uniform per out-of-bounds coordinate, and the acceptance
     test only when the candidate is no worse than the bat's position.
+    ``ba_runs`` gives the same records for many seeds at once, faster.
     """
     n = params.population
     d = objective.dim
@@ -285,3 +287,74 @@ def ba_run(objective: Objective, params: BaParams, config: RunConfig) -> RunReco
                     best_fitness = value
 
     return drive("ba", objective, config, generations)
+
+
+def ba_runs(objective: Objective, params: BaParams, configs: list[RunConfig]) -> list[RunRecord]:
+    """``ba_run`` for R configs that differ only in the seed, one record per
+    config, each bit for bit ``ba_run``'s.
+
+    The runs advance in lockstep: bat i moves in every run before bat i + 1
+    moves in any. Each run draws from its own stream in ``ba_run``'s order,
+    and every array operation is elementwise or reduces along one run's
+    row, so each run sees ``ba_run``'s values. What the runs share is the
+    cost of each numpy call: per bat, one velocity update, one bounds repair
+    and one ``evaluate_many`` serve all R runs. An ``EvaluationError``
+    raised here has ``row`` set to the index in ``configs`` of its run.
+    """
+    n = params.population
+    d = objective.dim
+    space = objective.space
+    f_min = params.frequency_min
+    frequency_span = params.frequency_max - f_min
+    pulse_rate, pulse_growth = params.pulse_rate, params.pulse_growth
+    step_scale, decay = params.local_step_scale, params.loudness_decay
+
+    def generations(rngs: list[RngStream]):
+        runs = np.arange(len(rngs))
+        uniforms = [rng.uniform for rng in rngs]
+        samples = [space.sample(rng, n) for rng in rngs]
+        try:
+            values = objective.evaluate_many(np.concatenate(samples))
+        except EvaluationError as exc:
+            exc.row //= n
+            raise
+        # Bat-major positions, velocities and fitness, so that bat i of every
+        # run is one contiguous (R, d) block; run-major loudness, whose row
+        # sums then match ba_run's.
+        positions = np.stack(samples, axis=1)
+        velocities = np.zeros_like(positions)
+        fitness = values.reshape(len(rngs), n).T.copy()
+        loudness = np.full((len(rngs), n), params.loudness)
+        g = fitness.argmin(axis=0)
+        best_positions = positions[g, runs]
+        best_fitness = fitness[g, runs]
+
+        for t in count(1):
+            yield best_positions, best_fitness.tolist()
+            pulse = pulse_rate * (1.0 - np.exp(-pulse_growth * t))
+            for i in range(n):
+                freqs, fired = [], []
+                for r, uniform in enumerate(uniforms):
+                    freqs.append(f_min + frequency_span * uniform())
+                    if uniform() < pulse:
+                        fired.append(r)
+                velocity = velocities[i]
+                velocity += (positions[i] - best_positions) * np.array(freqs)[:, None]
+                candidates = positions[i] + velocity
+                if fired:
+                    scales = step_scale * (np.add.reduce(loudness[fired], axis=1) / n)
+                    steps = scales[:, None] * np.array([rngs[r].normal(size=d) for r in fired])
+                    candidates[fired] = best_positions[fired] + steps
+                candidates = map_into_bounds(candidates, space, rngs)
+                values = objective.evaluate_many(candidates)
+                no_worse = (values <= fitness[i]).nonzero()[0].tolist()
+                accepted = [r for r in no_worse if uniforms[r]() < loudness[r, i]]
+                if accepted:
+                    positions[i, accepted] = candidates[accepted]
+                    fitness[i, accepted] = values[accepted]
+                    loudness[accepted, i] *= decay
+                improved = values < best_fitness
+                np.copyto(best_positions, candidates, where=improved[:, None])
+                np.copyto(best_fitness, values, where=improved)
+
+    return drive("ba", objective, configs, generations)

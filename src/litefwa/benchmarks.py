@@ -78,7 +78,8 @@ class Objective:
         return value
 
     def evaluate_many(self, positions) -> np.ndarray:
-        """Evaluate a batch of positions, one counter increment per row."""
+        """Evaluate a batch of positions, one counter increment per row; a
+        non-finite value raises EvaluationError with the first such row."""
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != self.dim:
             raise self._shape_error(positions)
@@ -90,7 +91,7 @@ class Objective:
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
             raise EvaluationError(
-                f"{self.name} returned non-finite value {values[i]!r}", positions[i]
+                f"{self.name} returned non-finite value {float(values[i])!r}", positions[i], row=i
             )
         return values
 

@@ -6,18 +6,21 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
 
 
 class EvaluationError(RuntimeError):
-    """An objective produced a non-finite value; carries the offending position."""
+    """An objective produced a non-finite value; carries the offending
+    position and, for a batch, ``row``, its index in the batch (None for a
+    single position)."""
 
-    def __init__(self, message: str, position) -> None:
+    def __init__(self, message: str, position, row: int | None = None) -> None:
         super().__init__(message)
         self.position = np.asarray(position, dtype=float)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,22 @@ def map_into_bounds(positions, space: SearchSpace, rng: "RngStream") -> np.ndarr
     beta * width with one fresh beta each, drawn in one block in row-major
     order (no draw when none violates); in-bounds coordinates pass through
     unchanged.
+
+    ``rng`` may also be a list of n streams for an (n, d) batch whose rows
+    belong to n runs advanced in lockstep. Each row's betas then come from
+    its own stream, one block per row that violates, so every row gets the
+    values a (d,) call on that stream alone would give.
     """
     positions = np.array(positions, dtype=float)
     mask = (positions < space.lower) | (positions > space.upper)
     cols = mask.nonzero()[-1]
     if cols.size:
-        positions[mask] = space.lower[cols] + rng.uniform(size=cols.size) * space.width[cols]
+        if isinstance(rng, list):
+            counts = np.add.reduce(mask, axis=1).tolist()
+            betas = np.concatenate([s.uniform(size=k) for s, k in zip(rng, counts) if k])
+        else:
+            betas = rng.uniform(size=cols.size)
+        positions[mask] = space.lower[cols] + betas * space.width[cols]
     return positions
 
 
@@ -245,9 +258,11 @@ class RunConfig:
             raise ValueError("max_iterations must be nonnegative")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
-        if not (_is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        tolerance = self.tolerance
+        if not (_is_real(tolerance) and np.ndim(tolerance) == 0
+                and math.isfinite(tolerance) and tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+        object.__setattr__(self, "tolerance", float(tolerance))
         if (
             self.gaussian_sparks_per_generation is not None
             and self.gaussian_sparks_per_generation < 1
@@ -287,7 +302,7 @@ class RunRecord:
             raise ValueError("final_best.fitness must equal the last trajectory entry")
 
 
-def drive(algorithm: str, objective, config: RunConfig, generations) -> RunRecord:
+def drive(algorithm: str, objective, config, generations):
     """One run of ``algorithm`` on ``objective`` under the shared protocol.
 
     ``generations(rng)`` is a generator over the run's stream, seeded with
@@ -296,16 +311,40 @@ def drive(algorithm: str, objective, config: RunConfig, generations) -> RunRecor
     generation. ``drive`` takes ``config.max_iterations + 1`` of them and
     never resumes the generator after the last: that would run one more
     generation of draws and evaluations.
+
+    ``config`` may also be a list of R configs that differ only in the
+    seed, for R runs advanced in lockstep. ``generations`` then gets a list
+    of R streams, one per config, and yields an (R, d) array of best
+    positions with a list of R fitnesses; only the last step's positions
+    are kept. ``drive`` returns one record per config, each with the
+    evaluation count divided by R, which is exact when every step evaluates
+    as many positions in each run.
     """
+    lockstep = not isinstance(config, RunConfig)
+    configs = list(config) if lockstep else [config]
+    if not configs:
+        raise ValueError("need at least one run configuration")
+    first = configs[0]
+    if lockstep and any(replace(c, seed=first.seed) != first for c in configs):
+        raise ValueError("lockstep run configurations must differ only in the seed")
+    rngs = [RngStream(c.seed) for c in configs]
     evals_before = objective.eval_count
     trajectory = []
-    for position, fitness in islice(generations(RngStream(config.seed)), config.max_iterations + 1):
+    steps = generations(rngs if lockstep else rngs[0])
+    for positions, fitness in islice(steps, first.max_iterations + 1):
         trajectory.append(fitness)
-    return RunRecord(
-        algorithm=algorithm,
-        objective=objective.name,
-        seed=config.seed,
-        trajectory=np.asarray(trajectory),
-        final_best=Individual(position, fitness),
-        evaluations_used=objective.eval_count - evals_before,
-    )
+    evaluations = (objective.eval_count - evals_before) // len(configs)
+    if not lockstep:
+        trajectory, positions, fitness = [[f] for f in trajectory], [positions], [fitness]
+    records = [
+        RunRecord(
+            algorithm=algorithm,
+            objective=objective.name,
+            seed=c.seed,
+            trajectory=column,
+            final_best=Individual(position, f),
+            evaluations_used=evaluations,
+        )
+        for c, column, position, f in zip(configs, np.array(trajectory).T.copy(), positions, fitness)
+    ]
+    return records if lockstep else records[0]

@@ -8,9 +8,12 @@ whose final best lies within the tolerance of the objective's declared
 optimum. Convergence curves are exported as per-iteration means across runs
 with one column per run and an optional log10 transform.
 
-``run_grid`` runs a grid of experiments as one flat task list, cell by cell
-and seed by seed, through one process pool per call, and joins the results
-by position; ``run_experiment`` is its one-cell case.
+``run_grid`` runs a grid of experiments as one flat task list through one
+process pool per call, and joins the results by position;
+``run_experiment`` is its one-cell case. A task is one replication, except
+for an algorithm with a lockstep form (BA's ``ba_runs``): each of its cells
+is split into one contiguous chunk of seeds per worker, and a chunk runs its
+replications together, sharing every array call.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import baselines, lfwa
 from .benchmarks import make_objective
-from .core import XI, RunConfig, RunRecord
+from .core import XI, EvaluationError, RunConfig, RunRecord
 
 __all__ = [
     "ExperimentSummary",
@@ -112,12 +115,15 @@ class Algorithm:
     None for an algorithm configured by ``RunConfig`` alone (LFWA), whose
     LFWA-only ``RunConfig`` fields then enter provenance. ``population_field``
     names the params field that sets the population, or is None when
-    ``RunConfig.population_size`` does.
+    ``RunConfig.population_size`` does. ``run_many(objective, params,
+    configs)``, when set, performs one run per config in lockstep and
+    returns the records ``run`` would, in order.
     """
 
     run: Callable[..., RunRecord]
     params_class: type | None
     population_field: str | None
+    run_many: Callable[..., list[RunRecord]] | None = None
 
     def params(self, population: int | None = None):
         """Default parameters (None without a params class), with the
@@ -140,7 +146,7 @@ ALGORITHMS = {
     "lfwa": Algorithm(lambda objective, _, config: lfwa.lfwa_run(objective, config), None, None),
     "fwa": Algorithm(baselines.fwa_run, baselines.FwaParams, None),
     "spso": Algorithm(baselines.spso_run, baselines.SpsoParams, "swarm_size"),
-    "ba": Algorithm(baselines.ba_run, baselines.BaParams, "population"),
+    "ba": Algorithm(baselines.ba_run, baselines.BaParams, "population", baselines.ba_runs),
 }
 
 
@@ -154,32 +160,69 @@ def _execute_run(algorithm: str, objective_name: str, config: RunConfig, params)
         ) from exc
 
 
+def _execute_runs(
+    algorithm: str, objective_name: str, configs: list[RunConfig], params
+) -> list[RunRecord]:
+    objective = make_objective(objective_name)
+    try:
+        return ALGORITHMS[algorithm].run_many(objective, params, configs)
+    except Exception as exc:
+        if isinstance(exc, EvaluationError) and exc.row is not None:
+            failed = f"run on {objective_name} with seed {configs[exc.row].seed}"
+        else:
+            seeds = ", ".join(str(c.seed) for c in configs)
+            failed = f"runs on {objective_name} with seeds {seeds}"
+        raise RuntimeError(f"{algorithm} {failed} failed: {exc}") from exc
+
+
+def _execute_chunk(
+    algorithm: str, objective_name: str, configs: list[RunConfig], params
+) -> list[RunRecord]:
+    """The records of one task: a single seed through ``_execute_run``, more
+    through ``_execute_runs``, both looked up on the module when called."""
+    if len(configs) == 1:
+        return [_execute_run(algorithm, objective_name, configs[0], params)]
+    return _execute_runs(algorithm, objective_name, configs, params)
+
+
 def run_grid(
     cells, runs: int, config: RunConfig, base_seed: int, jobs: int = 1
 ) -> list[tuple[ExperimentSummary, list[RunRecord]]]:
     """One ``(summary, records)`` per ``(algorithm, function, params)``
     cell, from ``runs`` replications with seeds ``base_seed + i``. All cells
-    are checked, and None params defaulted, before any run; the replications
-    run as one task list, through one process pool when ``jobs > 1``, and are
-    split back by position, never by completion order."""
+    are checked, and None params defaulted, before any run.
+
+    The replications run as one task list, through one process pool when
+    ``jobs > 1``. A task is one seed, except in the cells of an algorithm
+    with ``run_many``: their seeds are split into ``min(jobs, runs)``
+    contiguous chunks, one task each, run in lockstep. Multi-seed tasks go
+    first, longest first, so that no worker starts one late; results are
+    joined by position, never by completion order."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    tasks, declared = [], []
-    for algorithm, function, params in cells:
+    tasks, declared = [], []  # a task: (first record index, chunk arguments)
+    for cell, (algorithm, function, params) in enumerate(cells):
         if algorithm not in ALGORITHMS:
             valid = ", ".join(ALGORITHMS)
             raise KeyError(f"unknown algorithm {algorithm!r}; valid names: {valid}")
         if params is None:
             params = ALGORITHMS[algorithm].params()
         declared.append(make_objective(function).declared_optimum)
-        tasks.extend(
-            (algorithm, function, replace(config, seed=base_seed + i), params) for i in range(runs)
-        )
+        configs = [replace(config, seed=base_seed + i) for i in range(runs)]
+        chunks = min(jobs, runs) if ALGORITHMS[algorithm].run_many else runs
+        for k in range(chunks):
+            lo, hi = k * runs // chunks, (k + 1) * runs // chunks
+            tasks.append((cell * runs + lo, (algorithm, function, configs[lo:hi], params)))
+    tasks.sort(key=lambda task: -len(task[1][2]))
+    arguments = [args for _, args in tasks]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            records = list(pool.map(_execute_run, *zip(*tasks)))
+            results = list(pool.map(_execute_chunk, *zip(*arguments)))
     else:
-        records = [_execute_run(*task) for task in tasks]
+        results = [_execute_chunk(*args) for args in arguments]
+    records = [None] * (len(cells) * runs)
+    for (first, _), chunk in zip(tasks, results):
+        records[first : first + len(chunk)] = chunk
     cell_records = [records[k : k + runs] for k in range(0, len(records), runs)]
     return [
         (summarize([r.final_best.fitness for r in cell], optimum, config.tolerance), cell)

@@ -2,16 +2,19 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litefwa.baselines import (
     BaParams,
     FwaParams,
     SpsoParams,
     ba_run,
+    ba_runs,
     fwa_run,
     spso_run,
 )
-from litefwa.benchmarks import Objective, make_objective
+from litefwa.benchmarks import Objective, make_objective, objective_names
 from litefwa.core import RunConfig, SearchSpace
 
 SHORT = RunConfig(max_iterations=30, seed=11)
@@ -177,3 +180,48 @@ def test_evaluations_are_counted_per_candidate():
     record = spso_run(objective, SpsoParams(swarm_size=10), RunConfig(max_iterations=20, seed=3))
     assert record.evaluations_used == 10 * 21  # init + one batch per iteration
     assert objective.eval_count == record.evaluations_used
+
+
+def record_bytes(record):
+    return (record.seed, record.trajectory.tobytes(), record.final_best.position.tobytes(),
+            record.evaluations_used)
+
+
+@st.composite
+def lockstep_cases(draw):
+    """BaParams with 2..8 bats (constant loudness and a single frequency
+    included), a function, 0..12 iterations and 2..5 seeds, not necessarily
+    consecutive or distinct."""
+    f_min = draw(st.floats(0.0, 2.0))
+    params = BaParams(
+        population=draw(st.integers(2, 8)),
+        frequency_min=f_min,
+        frequency_max=draw(st.one_of(st.just(f_min), st.floats(f_min, 4.0))),
+        loudness=draw(st.floats(0.0, 1.0)),
+        loudness_decay=draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0))),
+        pulse_rate=draw(st.floats(0.0, 1.0)),
+        pulse_growth=draw(st.floats(0.01, 2.0)),
+        local_step_scale=draw(st.floats(0.0, 1.0)),
+    )
+    function = draw(st.sampled_from(objective_names()))
+    iterations = draw(st.integers(0, 12))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=5))
+    return params, function, [RunConfig(max_iterations=iterations, seed=s) for s in seeds]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lockstep_cases())
+def test_ba_runs_equal_ba_run_per_seed_bit_for_bit(case):
+    params, function, configs = case
+    objective = make_objective(function)
+    records = ba_runs(objective, params, configs)
+    alone = [ba_run(make_objective(function), params, config) for config in configs]
+    assert [record_bytes(r) for r in records] == [record_bytes(r) for r in alone]
+    assert objective.eval_count == len(configs) * records[0].evaluations_used
+
+
+def test_ba_runs_take_configs_that_differ_only_in_the_seed():
+    with pytest.raises(ValueError, match="differ only in the seed"):
+        ba_runs(make_objective("f7"), BaParams(), [SHORT, RunConfig(max_iterations=5, seed=1)])
+    with pytest.raises(ValueError, match="at least one run configuration"):
+        ba_runs(make_objective("f7"), BaParams(), [])

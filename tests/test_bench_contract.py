@@ -97,3 +97,51 @@ def test_compare_reaches_execute_run_once_per_replication_in_cell_major_seed_ord
     )
     assert code == 0
     assert calls == list(product(["spso", "lfwa"], ["f9", "f7"], [5, 6, 7]))
+
+
+class InlinePool:
+    """The harness's process pool, run in this process so that patched
+    module attributes are seen and calls can be counted."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_compare_with_ba_reaches_execute_run_per_replication_and_execute_runs_per_chunk(
+    monkeypatch, tmp_path
+):
+    # compare runs each BA cell's seeds in chunks through
+    # harness._execute_runs, so a wrapper around _execute_run, as in
+    # grid_share.py, sees BA only where a chunk holds one seed.
+    calls = []
+    execute_run, execute_runs = harness._execute_run, harness._execute_runs
+
+    def counting_run(algorithm, function, config, params):
+        calls.append((algorithm, function, config.seed))
+        return execute_run(algorithm, function, config, params)
+
+    def counting_runs(algorithm, function, configs, params):
+        calls.append((algorithm, function, [c.seed for c in configs]))
+        return execute_runs(algorithm, function, configs, params)
+
+    monkeypatch.setattr(harness, "_execute_run", counting_run)
+    monkeypatch.setattr(harness, "_execute_runs", counting_runs)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.chdir(tmp_path)
+    code = litefwa.cli.main(
+        ["compare", "--algorithms", "spso,ba,lfwa", "--functions", "f9,f7",
+         "--runs", "4", "--iterations", "2", "--seed", "5", "--jobs", "2"]
+    )
+    assert code == 0
+    # one chunk per worker and BA cell, ahead of every single replication
+    assert calls[:4] == [("ba", fn, seeds) for fn in ("f9", "f7") for seeds in ([5, 6], [7, 8])]
+    assert calls[4:] == list(product(["spso", "lfwa"], ["f9", "f7"], [5, 6, 7, 8]))

@@ -290,19 +290,27 @@ def test_jobs_default_is_the_cpus_this_process_may_use(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,all_jobs",
     [
-        ["compare", "--algorithms", "lfwa,fwa,spso,ba", "--functions", "f1,f7"],
-        ["run", "--algorithm", "fwa", "--function", "f1"],
+        (["compare", "--algorithms", "lfwa,fwa,spso,ba", "--functions", "f1,f7",
+          "--runs", "3", "--iterations", "10"], (1, 2)),
+        (["run", "--algorithm", "fwa", "--function", "f1", "--runs", "3", "--iterations", "10"],
+         (1, 2)),
+        # BA's 5 seeds per cell run as one lockstep chunk at --jobs 1, chunks
+        # of 2 and 3 at --jobs 2, and of 1, 2 and 2 at --jobs 3
+        (["compare", "--algorithms", "ba,spso", "--functions", "f7,f1",
+          "--runs", "5", "--iterations", "8"], (1, 2, 3)),
     ],
-    ids=["compare", "run"],
+    ids=["compare", "run", "compare-ba-chunks"],
 )
-def test_jobs_changes_no_output_byte_but_its_own_provenance_field(args, tmp_path, capsys):
+def test_jobs_changes_no_output_byte_but_its_own_provenance_field(
+    args, all_jobs, tmp_path, capsys
+):
     outputs = {}
-    for jobs in (1, 2):
+    for jobs in all_jobs:
         directory = tmp_path / f"jobs{jobs}"
         directory.mkdir()
-        argv = args + ["--runs", "3", "--iterations", "10", "--jobs", str(jobs)]
+        argv = args + ["--jobs", str(jobs)]
         code, out, _ = run_cli(argv, directory, capsys)
         assert code == 0
         files = {path.name: path.read_bytes() for path in directory.iterdir()}
@@ -310,7 +318,8 @@ def test_jobs_changes_no_output_byte_but_its_own_provenance_field(args, tmp_path
         provenance = json.loads(files.pop(provenance_name))
         assert provenance.pop("jobs") == jobs
         outputs[jobs] = out, files, provenance
-    assert outputs[1] == outputs[2]
+    for jobs in all_jobs[1:]:
+        assert outputs[jobs] == outputs[1]
     assert len(outputs[1][1]) == (1 if args[0] == "compare" else 2)  # summary, curves
 
 

@@ -209,6 +209,19 @@ def test_run_config_rejects_non_finite_tolerance(value):
         RunConfig(tolerance=value)
 
 
+@pytest.mark.parametrize("value", [np.array([1.0, 2.0]), np.array([0.5])])
+def test_run_config_rejects_a_tolerance_array_by_name(value):
+    # math.isfinite raised "only 0-dimensional arrays can be converted to
+    # Python scalars", naming no field
+    with pytest.raises(ValueError, match="^tolerance must be finite and nonnegative, got array"):
+        RunConfig(tolerance=value)
+
+
+def test_run_config_stores_a_zero_dimensional_tolerance_as_a_float():
+    tolerance = RunConfig(tolerance=np.array(0.5)).tolerance
+    assert type(tolerance) is float and tolerance == 0.5
+
+
 @pytest.mark.parametrize("value", ["1", None, 1j, [1.0], np.array(["1"])])
 def test_require_finite_names_a_non_real_value(value):
     with pytest.raises(ValueError, match="^width must be a real number, got "):

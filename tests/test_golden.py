@@ -17,6 +17,9 @@ tables are checked:
   walk, and with two bats; FWA with a budget of 10 sparks; SPSO with 10
   particles).
 
+The BA cases are also run through ``ba_runs``, the lockstep form that
+``compare`` uses, one batch of seeds per function and variant.
+
 A change that reorders or merges random draws in a way that moves any value
 fails here by name. Regenerate the committed tables only for a change meant
 to alter seeded outputs, and say which outputs moved and why:
@@ -33,7 +36,7 @@ import sys
 
 import pytest
 
-from litefwa.baselines import BaParams, FwaParams, SpsoParams, ba_run, fwa_run, spso_run
+from litefwa.baselines import BaParams, FwaParams, SpsoParams, ba_run, ba_runs, fwa_run, spso_run
 from litefwa.benchmarks import make_objective, objective_names
 from litefwa.core import RunConfig
 from litefwa.lfwa import lfwa_run
@@ -156,6 +159,35 @@ def test_baseline_matches_committed_table(name):
 
 def test_committed_baselines_table_covers_every_case():
     assert sorted(load_json(BASELINES_TABLE_PATH)) == sorted(baseline_cases())
+
+
+def ba_batches() -> dict[str, list[str]]:
+    """The ba/* cases of the baselines table, grouped by function and
+    variant: case-name prefix -> case names in seed order."""
+    batches: dict[str, list[str]] = {}
+    for name, (algorithm, *_) in baseline_cases().items():
+        if algorithm == "ba":
+            batches.setdefault(name.rsplit("/", 1)[0], []).append(name)
+    return batches
+
+
+@pytest.mark.parametrize("prefix", sorted(ba_batches()))
+def test_ba_lockstep_batch_matches_committed_table(prefix):
+    names = ba_batches()[prefix]
+    _, function, _, params = baseline_cases()[names[0]]
+    configs = [RunConfig(**baseline_cases()[name][2]) for name in names]
+    records = ba_runs(make_objective(function), BaParams(**params), configs)
+    table = load_json(BASELINES_TABLE_PATH)
+    assert [run_digest(r) for r in records] == [table[name] for name in names]
+
+
+@pytest.mark.parametrize("function", BENCH_FUNCTIONS)
+def test_ba_lockstep_batch_matches_bench_golden(function):
+    configs = [RunConfig(seed=seed) for seed in BENCH_SEEDS]
+    records = ba_runs(make_objective(function), BaParams(), configs)
+    serial = load_json(BENCH_GOLDEN_PATH)["serial"]
+    assert [run_digest(r) for r in records] == [serial[f"ba/{function}/{seed}"]
+                                                for seed in BENCH_SEEDS]
 
 
 # FWA's crowding multiplies a Gram matrix through BLAS, the only BLAS call

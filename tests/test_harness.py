@@ -2,6 +2,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from itertools import count
 
 import numpy as np
 import pytest
@@ -247,6 +248,62 @@ def test_run_grid_checks_every_cell_before_any_run(monkeypatch):
         run_grid(GRID_CELLS + [("lfwa", "f99", None)], 2, FAST, base_seed=0, jobs=2)
     with pytest.raises(ValueError, match="runs must be at least 1"):
         run_grid(GRID_CELLS, 0, FAST, base_seed=0, jobs=2)
+
+
+def objective_with_a_failing_batch(name, failing_call, fail):
+    """``make_objective(name)`` whose ``func`` calls ``fail(values)`` on the
+    values of its ``failing_call``-th batch (counting from 0)."""
+    objective = make_objective(name)
+    func, calls = objective.func, count()
+
+    def func_failing_once(x):
+        values = np.array(func(x), dtype=float)
+        if x.ndim == 2 and next(calls) == failing_call:
+            fail(values)
+        return values
+
+    objective.func = func_failing_once
+    return objective
+
+
+def nan_in_row(row):
+    def fail(values):
+        values[row] = np.nan
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "failing_call,row,seed",
+    [(0, 2 * 30 + 1, 12), (0, 0, 10), (7, 3, 13), (7, 0, 10)],
+    ids=["initial-batch", "initial-batch-first-row", "bat-step", "bat-step-first-row"],
+)
+def test_non_finite_value_in_a_lockstep_batch_names_its_rows_seed(
+    failing_call, row, seed, monkeypatch
+):
+    # One BA task runs seeds 10..13 together; the failing row is run row
+    # // 30 of the initial batch of 4 x 30 bats, and run row of a bat step.
+    import litefwa.harness as harness
+
+    monkeypatch.setattr(harness, "make_objective", lambda name: objective_with_a_failing_batch(
+        name, failing_call, nan_in_row(row)))
+    with pytest.raises(RuntimeError) as raised:
+        run_experiment("ba", "f1", 4, FAST, base_seed=10)
+    assert str(raised.value) == (
+        f"ba run on f1 with seed {seed} failed: f1 returned non-finite value nan"
+    )
+
+
+def test_other_error_in_a_lockstep_batch_names_the_batchs_seeds(monkeypatch):
+    import litefwa.harness as harness
+
+    def boom(values):
+        raise ArithmeticError("boom")
+
+    monkeypatch.setattr(harness, "make_objective", lambda name: objective_with_a_failing_batch(
+        name, 7, boom))
+    with pytest.raises(RuntimeError, match=r"^ba runs on f1 with seeds 10, 11, 12, 13 failed: boom$"):
+        run_experiment("ba", "f1", 4, FAST, base_seed=10)
 
 
 @pytest.mark.parametrize(
