@@ -87,9 +87,9 @@ class Objective:
         if values.shape != positions.shape[:1]:
             raise self._contract_error(positions, f"gave shape {values.shape}")
         self.eval_count += len(positions)
-        bad = ~np.isfinite(values)
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))
             raise EvaluationError(
                 f"{self.name} returned non-finite value {float(values[i])!r}", positions[i], row=i
             )

@@ -10,10 +10,10 @@ with one column per run and an optional log10 transform.
 
 ``run_grid`` runs a grid of experiments as one flat task list through one
 process pool per call, and joins the results by position;
-``run_experiment`` is its one-cell case. A task is one replication, except
-for an algorithm with a lockstep form (BA's ``ba_runs``): each of its cells
-is split into one contiguous chunk of seeds per worker, and a chunk runs its
-replications together, sharing every array call.
+``run_experiment`` is its one-cell case. A task is one contiguous chunk of a
+cell's seeds, one chunk per worker. An algorithm with a lockstep form (BA's
+``ba_runs``) runs a chunk's replications together, sharing every array
+call; any other runs them one after another.
 """
 
 from __future__ import annotations
@@ -150,39 +150,30 @@ ALGORITHMS = {
 }
 
 
-def _execute_run(algorithm: str, objective_name: str, config: RunConfig, params) -> RunRecord:
-    objective = make_objective(objective_name)
-    try:
-        return ALGORITHMS[algorithm].run(objective, params, config)
-    except Exception as exc:
-        raise RuntimeError(
-            f"{algorithm} run on {objective_name} with seed {config.seed} failed: {exc}"
-        ) from exc
-
-
-def _execute_runs(
+def _execute_run(
     algorithm: str, objective_name: str, configs: list[RunConfig], params
 ) -> list[RunRecord]:
-    objective = make_objective(objective_name)
+    """The records of one task, a chunk of one cell's seeds: in lockstep
+    through ``run_many`` when the algorithm has one and the chunk holds more
+    than one seed, else one ``run`` per seed, each on its own objective."""
+    entry = ALGORITHMS[algorithm]
+    lockstep = entry.run_many is not None and len(configs) > 1
+    records = []
     try:
-        return ALGORITHMS[algorithm].run_many(objective, params, configs)
+        if lockstep:
+            return entry.run_many(make_objective(objective_name), params, configs)
+        for config in configs:
+            records.append(entry.run(make_objective(objective_name), params, config))
+        return records
     except Exception as exc:
-        if isinstance(exc, EvaluationError) and exc.row is not None:
+        if not lockstep:
+            failed = f"run on {objective_name} with seed {configs[len(records)].seed}"
+        elif isinstance(exc, EvaluationError) and exc.row is not None:
             failed = f"run on {objective_name} with seed {configs[exc.row].seed}"
         else:
             seeds = ", ".join(str(c.seed) for c in configs)
             failed = f"runs on {objective_name} with seeds {seeds}"
         raise RuntimeError(f"{algorithm} {failed} failed: {exc}") from exc
-
-
-def _execute_chunk(
-    algorithm: str, objective_name: str, configs: list[RunConfig], params
-) -> list[RunRecord]:
-    """The records of one task: a single seed through ``_execute_run``, more
-    through ``_execute_runs``, both looked up on the module when called."""
-    if len(configs) == 1:
-        return [_execute_run(algorithm, objective_name, configs[0], params)]
-    return _execute_runs(algorithm, objective_name, configs, params)
 
 
 def run_grid(
@@ -192,16 +183,18 @@ def run_grid(
     cell, from ``runs`` replications with seeds ``base_seed + i``. All cells
     are checked, and None params defaulted, before any run.
 
-    The replications run as one task list, through one process pool when
-    ``jobs > 1``. A task is one seed, except in the cells of an algorithm
-    with ``run_many``: their seeds are split into ``min(jobs, runs)``
-    contiguous chunks, one task each, run in lockstep. Multi-seed tasks go
-    first, longest first, so that no worker starts one late; results are
-    joined by position, never by completion order."""
+    Each cell's seeds are split into ``min(jobs, runs)`` contiguous chunks,
+    one ``_execute_run`` task each, so that no two chunks of a grid differ
+    by more than one seed. The tasks run in cell-major, seed order, through
+    one process pool when ``jobs > 1``; their records are joined by
+    position, never by completion order."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    tasks, declared = [], []  # a task: (first record index, chunk arguments)
-    for cell, (algorithm, function, params) in enumerate(cells):
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    chunks = min(jobs, runs)
+    tasks, declared = [], []
+    for algorithm, function, params in cells:
         if algorithm not in ALGORITHMS:
             valid = ", ".join(ALGORITHMS)
             raise KeyError(f"unknown algorithm {algorithm!r}; valid names: {valid}")
@@ -209,20 +202,15 @@ def run_grid(
             params = ALGORITHMS[algorithm].params()
         declared.append(make_objective(function).declared_optimum)
         configs = [replace(config, seed=base_seed + i) for i in range(runs)]
-        chunks = min(jobs, runs) if ALGORITHMS[algorithm].run_many else runs
         for k in range(chunks):
-            lo, hi = k * runs // chunks, (k + 1) * runs // chunks
-            tasks.append((cell * runs + lo, (algorithm, function, configs[lo:hi], params)))
-    tasks.sort(key=lambda task: -len(task[1][2]))
-    arguments = [args for _, args in tasks]
+            chunk = configs[k * runs // chunks : (k + 1) * runs // chunks]
+            tasks.append((algorithm, function, chunk, params))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_execute_chunk, *zip(*arguments)))
+            results = list(pool.map(_execute_run, *zip(*tasks)))
     else:
-        results = [_execute_chunk(*args) for args in arguments]
-    records = [None] * (len(cells) * runs)
-    for (first, _), chunk in zip(tasks, results):
-        records[first : first + len(chunk)] = chunk
+        results = [_execute_run(*task) for task in tasks]
+    records = [record for chunk in results for record in chunk]
     cell_records = [records[k : k + runs] for k in range(0, len(records), runs)]
     return [
         (summarize([r.final_best.fitness for r in cell], optimum, config.tolerance), cell)

@@ -96,3 +96,27 @@ class ReplayRng:
 @pytest.fixture
 def constant_rng():
     return ConstantRng
+
+
+class InlinePool:
+    """The harness's process pool, run in this process so that patched
+    module attributes are seen and calls can be counted."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    import litefwa.harness
+
+    monkeypatch.setattr(litefwa.harness, "ProcessPoolExecutor", InlinePool)

@@ -63,7 +63,7 @@ def test_tracer_sees_every_layer_of_a_driven_run(tracer_module):
 
 def test_grid_share_patch_points_are_looked_up_at_call_time(monkeypatch):
     # grid_share.py replaces both module attributes and relies on
-    # run_experiment calling _execute_run through the module.
+    # run_experiment calling _execute_run through the module, once per task.
     calls = []
     execute_run = harness._execute_run
 
@@ -73,75 +73,59 @@ def test_grid_share_patch_points_are_looked_up_at_call_time(monkeypatch):
 
     monkeypatch.setattr(harness, "_execute_run", counting_run)
     harness.run_experiment("lfwa", "f7", 2, RunConfig(max_iterations=2), base_seed=0)
-    assert calls == [("lfwa", "f7")] * 2
+    assert calls == [("lfwa", "f7")]
 
 
 def test_compare_reaches_execute_run_once_per_replication_in_cell_major_seed_order(
-    monkeypatch, tmp_path
+    inline_pool, monkeypatch, tmp_path
 ):
-    # The tracer and grid_share.py time replications by patching
-    # harness._execute_run; a compare must still call it through the module,
-    # one call per (algorithm, function, seed), cell by cell.
+    # With at least as many workers as runs every chunk holds one seed, so
+    # each replication, BA's included, reaches harness._execute_run through
+    # the module once, one (algorithm, function, seed) after another, cell
+    # by cell.
     calls = []
     execute_run = harness._execute_run
 
-    def counting_run(algorithm, function, config, params):
-        calls.append((algorithm, function, config.seed))
-        return execute_run(algorithm, function, config, params)
+    def counting_run(algorithm, function, configs, params):
+        calls.append((algorithm, function, [c.seed for c in configs]))
+        return execute_run(algorithm, function, configs, params)
 
     monkeypatch.setattr(harness, "_execute_run", counting_run)
     monkeypatch.chdir(tmp_path)
     code = litefwa.cli.main(
-        ["compare", "--algorithms", "spso,lfwa", "--functions", "f9,f7",
-         "--runs", "3", "--iterations", "2", "--seed", "5", "--jobs", "1"]
+        ["compare", "--algorithms", "spso,ba,lfwa", "--functions", "f9,f7",
+         "--runs", "3", "--iterations", "2", "--seed", "5", "--jobs", "3"]
     )
     assert code == 0
-    assert calls == list(product(["spso", "lfwa"], ["f9", "f7"], [5, 6, 7]))
+    assert calls == [
+        (algorithm, function, [seed])
+        for algorithm, function, seed in product(["spso", "ba", "lfwa"], ["f9", "f7"], [5, 6, 7])
+    ]
 
 
-class InlinePool:
-    """The harness's process pool, run in this process so that patched
-    module attributes are seen and calls can be counted."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-def test_compare_with_ba_reaches_execute_run_per_replication_and_execute_runs_per_chunk(
-    monkeypatch, tmp_path
+def test_compare_reaches_execute_run_once_per_chunk_in_cell_major_seed_order(
+    inline_pool, monkeypatch, tmp_path
 ):
-    # compare runs each BA cell's seeds in chunks through
-    # harness._execute_runs, so a wrapper around _execute_run, as in
-    # grid_share.py, sees BA only where a chunk holds one seed.
+    # The tracer and grid_share.py time tasks by patching
+    # harness._execute_run. Every task of a compare, BA's lockstep chunks
+    # included, must still call it through the module: one call per chunk
+    # of a cell's seeds (one chunk per worker), cell by cell.
     calls = []
-    execute_run, execute_runs = harness._execute_run, harness._execute_runs
+    execute_run = harness._execute_run
 
-    def counting_run(algorithm, function, config, params):
-        calls.append((algorithm, function, config.seed))
-        return execute_run(algorithm, function, config, params)
-
-    def counting_runs(algorithm, function, configs, params):
+    def counting_run(algorithm, function, configs, params):
         calls.append((algorithm, function, [c.seed for c in configs]))
-        return execute_runs(algorithm, function, configs, params)
+        return execute_run(algorithm, function, configs, params)
 
     monkeypatch.setattr(harness, "_execute_run", counting_run)
-    monkeypatch.setattr(harness, "_execute_runs", counting_runs)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     monkeypatch.chdir(tmp_path)
     code = litefwa.cli.main(
         ["compare", "--algorithms", "spso,ba,lfwa", "--functions", "f9,f7",
          "--runs", "4", "--iterations", "2", "--seed", "5", "--jobs", "2"]
     )
     assert code == 0
-    # one chunk per worker and BA cell, ahead of every single replication
-    assert calls[:4] == [("ba", fn, seeds) for fn in ("f9", "f7") for seeds in ([5, 6], [7, 8])]
-    assert calls[4:] == list(product(["spso", "lfwa"], ["f9", "f7"], [5, 6, 7, 8]))
+    assert calls == [
+        (algorithm, function, seeds)
+        for algorithm, function in product(["spso", "ba", "lfwa"], ["f9", "f7"])
+        for seeds in ([5, 6], [7, 8])
+    ]

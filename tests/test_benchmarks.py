@@ -88,6 +88,24 @@ def test_non_finite_value_raises_evaluation_error():
     assert obj.eval_count == 1
 
 
+def test_non_finite_value_in_a_batch_names_the_first_bad_row():
+    obj = make_objective("f1")
+    func = obj.func
+
+    def nan_in_row_2_inf_in_row_4(x):
+        values = func(x)
+        values[2], values[4] = np.nan, np.inf
+        return values
+
+    obj.func = nan_in_row_2_inf_in_row_4
+    positions = np.arange(6 * 30, dtype=float).reshape(6, 30)
+    with pytest.raises(EvaluationError, match=r"^f1 returned non-finite value nan$") as info:
+        obj.evaluate_many(positions)
+    assert info.value.row == 2
+    assert np.array_equal(info.value.position, positions[2])
+    assert obj.eval_count == 6
+
+
 @st.composite
 def in_box_points(draw):
     """A registry function name and a point inside its (uniform) box."""

@@ -248,6 +248,60 @@ def test_run_grid_checks_every_cell_before_any_run(monkeypatch):
         run_grid(GRID_CELLS + [("lfwa", "f99", None)], 2, FAST, base_seed=0, jobs=2)
     with pytest.raises(ValueError, match="runs must be at least 1"):
         run_grid(GRID_CELLS, 0, FAST, base_seed=0, jobs=2)
+    with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
+        run_experiment("ba", "f7", 2, RunConfig(max_iterations=2), 0, jobs=0)
+    with pytest.raises(ValueError, match="^jobs must be at least 1, got -2$"):
+        run_grid(GRID_CELLS, 2, FAST, base_seed=0, jobs=-2)
+
+
+def test_failed_run_inside_a_sequential_chunk_names_its_seed(inline_pool, monkeypatch):
+    # At jobs=2 the 4 seeds run as chunks [0, 1] and [2, 3]; seed 1 fails
+    # after seed 0 of its chunk has run.
+    import litefwa.harness as harness
+
+    seen, run = [], ALGORITHMS["lfwa"].run
+
+    def lfwa_failing_at_seed_1(objective, params, config):
+        seen.append(config.seed)
+        if config.seed == 1:
+            raise ArithmeticError("boom")
+        return run(objective, params, config)
+
+    monkeypatch.setitem(
+        harness.ALGORITHMS, "lfwa", replace(ALGORITHMS["lfwa"], run=lfwa_failing_at_seed_1)
+    )
+    with pytest.raises(RuntimeError, match=r"^lfwa run on f1 with seed 1 failed: boom$"):
+        run_experiment("lfwa", "f1", 4, FAST, base_seed=0, jobs=2)
+    assert seen == [0, 1]
+
+
+@pytest.mark.parametrize("runs,jobs,calls", [
+    (1, 1, [("run", [0])]),
+    (3, 1, [("run_many", [0, 1, 2])]),
+    (3, 2, [("run", [0]), ("run_many", [1, 2])]),
+    (5, 3, [("run", [0]), ("run_many", [1, 2]), ("run_many", [3, 4])]),
+], ids=["one-seed", "one-chunk", "jobs2", "jobs3"])
+def test_ba_chunks_run_in_lockstep_unless_they_hold_one_seed(
+    runs, jobs, calls, inline_pool, monkeypatch
+):
+    import litefwa.harness as harness
+
+    entry, seen = ALGORITHMS["ba"], []
+
+    def counting_run(objective, params, config):
+        seen.append(("run", [config.seed]))
+        return entry.run(objective, params, config)
+
+    def counting_run_many(objective, params, configs):
+        seen.append(("run_many", [c.seed for c in configs]))
+        return entry.run_many(objective, params, configs)
+
+    monkeypatch.setitem(
+        harness.ALGORITHMS, "ba", replace(entry, run=counting_run, run_many=counting_run_many)
+    )
+    _, records = run_experiment("ba", "f7", runs, FAST, base_seed=0, jobs=jobs)
+    assert seen == calls
+    assert [r.seed for r in records] == list(range(runs))
 
 
 def objective_with_a_failing_batch(name, failing_call, fail):
