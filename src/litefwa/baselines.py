@@ -48,6 +48,18 @@ class FwaParams:
             raise ValueError("spark budgets must be positive")
         if self.max_amplitude <= 0:
             raise ValueError("max_amplitude must be positive")
+        low, high = self.spark_count_clamps
+        if high < low:
+            raise ValueError(f"total_spark_budget * intensity_max_fraction rounds to {high} "
+                             f"sparks per firework, below the lower clamp of {low}")
+
+    @property
+    def spark_count_clamps(self) -> tuple[int, int]:
+        """Least and most explosion sparks per firework: the budget times
+        each fraction, rounded, the least raised to 1."""
+        budget = self.total_spark_budget
+        return (max(round(self.intensity_min_fraction * budget), 1),
+                round(self.intensity_max_fraction * budget))
 
 
 @dataclass(frozen=True)
@@ -113,8 +125,7 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
     m = config.population_size
     d = objective.dim
     budget = params.total_spark_budget
-    low_clamp = max(int(round(params.intensity_min_fraction * budget)), 1)
-    high_clamp = int(round(params.intensity_max_fraction * budget))
+    low_clamp, high_clamp = params.spark_count_clamps
     fireworks = np.arange(m)
 
     # The generation calls ufuncs and array methods, not the numpy wrappers

@@ -105,39 +105,31 @@ def _build_config(args) -> RunConfig:
 
 
 def _run_grid(args, algorithms: list[str], functions: list[str]):
+    """The summary rows, the ``(summary, records)`` of each cell in grid
+    order, and the provenance of one experiment verb."""
     config = _build_config(args)
-    rows = []
-    provenance: dict = {
-        "runs": args.runs,
-        "seed_base": args.seed,
-        "jobs": args.jobs,
-        "experiments": {},
-    }
     cells = [(algorithm, function, harness.ALGORITHMS[algorithm].params(args.pop_size))
              for algorithm in algorithms for function in functions]
-    results = harness.run_grid(cells, args.runs, config, base_seed=args.seed, jobs=args.jobs)
-    all_records = {}
+    results = harness.run_grid(cells, args.runs, config, jobs=args.jobs)
+    rows, experiments = [], {}
     for (algorithm, function, params), (summary, records) in zip(cells, results):
-        rows.append(
-            harness.build_summary_row(
-                algorithm, function, args.runs, config, summary, args.seed, params
-            )
-        )
-        all_records[(algorithm, function)] = records
-        provenance["experiments"][f"{algorithm}/{function}"] = {
-            "parameters": harness.resolved_parameters(algorithm, config, params),
+        parameters = harness.resolved_parameters(algorithm, config, params)
+        rows.append(harness.build_summary_row(function, summary, args.seed, parameters))
+        experiments[f"{algorithm}/{function}"] = {
+            "parameters": parameters,
             "objective": make_objective(function).metadata,
             "finals": [float(v) for v in summary.finals],
             "evaluations": [r.evaluations_used for r in records],
         }
-    return rows, all_records, provenance
+    provenance = {"runs": args.runs, "seed_base": args.seed, "jobs": args.jobs,
+                  "experiments": experiments}
+    return rows, results, provenance
 
 
-def cmd_run(args, summary: bool = True, curves: bool = True) -> int:
-    """Every experiment verb: ``run`` writes the summary, curves and
-    provenance of one algorithm on one function, ``curve`` the same without
-    the summary (``summary=False``), and ``compare`` the summary and
-    provenance of a grid (``curves=False``)."""
+def cmd_run(args, summary: bool, curves: bool) -> int:
+    """Every experiment verb: the summary (when ``summary``) and the curves
+    (when ``curves``) of its grid, then the provenance. A verb that writes
+    curves runs one algorithm on one function."""
     algorithms = _expand_algorithms(args.algorithms)
     functions = _expand_functions(args.functions)
     if curves and (len(algorithms) != 1 or len(functions) != 1):
@@ -145,9 +137,9 @@ def cmd_run(args, summary: bool = True, curves: bool = True) -> int:
             f"{args.verb} takes exactly one algorithm and one function; use compare for grids"
         )
     base = _output_base(args, algorithms, functions)
-    rows, all_records, provenance = _run_grid(args, algorithms, functions)
+    rows, results, provenance = _run_grid(args, algorithms, functions)
     if curves:  # before any file is written: export_curves rejects some curves
-        (records,) = all_records.values()
+        ((_, records),) = results
         table = harness.export_curves(records, transform=args.transform)
     written = []
     if summary:
@@ -195,6 +187,14 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# verb: (help, writes a summary, writes curves)
+EXPERIMENT_VERBS = {
+    "run": ("one algorithm on one function", True, True),
+    "compare": ("grid of algorithms x functions", True, False),
+    "curve": ("convergence-curve export", False, True),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="litefwa",
@@ -202,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, single_algorithm: bool):
-        if single_algorithm:
+    for verb, (help_text, summary, curves) in EXPERIMENT_VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        if curves:
             p.add_argument("--algorithm", default="lfwa", dest="algorithms", metavar="ALGORITHM",
                            help="algorithm name")
             p.add_argument("--function", required=True, dest="functions", metavar="FUNCTION",
@@ -218,24 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
         p.add_argument("--tolerance", type=float, default=1e-5, help="success tolerance")
         p.add_argument("--output", default=None, help="output base path (no extension)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv",
-                       help="summary file format")
-        p.add_argument("--transform", choices=["raw", "log10"], default="raw",
-                       help="curve value transform")
+        if summary:
+            p.add_argument("--format", choices=["csv", "json"], default="csv",
+                           help="summary file format")
+        if curves:
+            p.add_argument("--transform", choices=["raw", "log10"], default="raw",
+                           help="curve value transform")
         p.add_argument("--jobs", type=int, default=_available_cpus(),
                        help="parallel replications, at least 1 (default: available CPUs)")
-
-    p_run = sub.add_parser("run", help="one algorithm on one function")
-    add_common(p_run, single_algorithm=True)
-    p_run.set_defaults(func=cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="grid of algorithms x functions")
-    add_common(p_cmp, single_algorithm=False)
-    p_cmp.set_defaults(func=partial(cmd_run, curves=False))
-
-    p_curve = sub.add_parser("curve", help="convergence-curve export")
-    add_common(p_curve, single_algorithm=True)
-    p_curve.set_defaults(func=partial(cmd_run, summary=False))
+        p.set_defaults(func=partial(cmd_run, summary=summary, curves=curves))
 
     p_list = sub.add_parser("list-functions", help="print the benchmark registry")
     p_list.set_defaults(func=cmd_list_functions)

@@ -26,23 +26,24 @@ class EvaluationError(RuntimeError):
 @dataclass(frozen=True)
 class SearchSpace:
     """Axis-aligned box bounds, one (lower, upper) pair per dimension;
-    ``width`` is ``upper - lower``, computed once."""
+    ``width`` is ``upper - lower``, computed once. The bounds are copies of
+    the arrays given, and all three arrays are read-only."""
 
     lower: np.ndarray
     upper: np.ndarray
     width: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.array(self.lower, dtype=float, ndmin=1)
+        upper = np.array(self.upper, dtype=float, ndmin=1)
         if lower.ndim != 1 or upper.shape != lower.shape:
             raise ValueError("lower and upper must be 1-d arrays of equal length")
         require_finite(lower=lower, upper=upper)
         if not np.all(lower < upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "width", upper - lower)
+        for name, value in (("lower", lower), ("upper", upper), ("width", upper - lower)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:

@@ -1,7 +1,7 @@
 """Experiment protocol: repeated seeded runs, summary statistics, curve export.
 
 An experiment is ``runs`` independent replications with seeds
-``base_seed + 0 .. base_seed + runs - 1``. Summaries report worst, best,
+``config.seed + 0 .. config.seed + runs - 1``. Summaries report worst, best,
 mean, and population standard deviation (divide by N; the convention is
 pinned here and printed in provenance files), plus the fraction of runs
 whose final best lies within the tolerance of the objective's declared
@@ -177,10 +177,10 @@ def _execute_run(
 
 
 def run_grid(
-    cells, runs: int, config: RunConfig, base_seed: int, jobs: int = 1
+    cells, runs: int, config: RunConfig, jobs: int = 1
 ) -> list[tuple[ExperimentSummary, list[RunRecord]]]:
     """One ``(summary, records)`` per ``(algorithm, function, params)``
-    cell, from ``runs`` replications with seeds ``base_seed + i``. All cells
+    cell, from ``runs`` replications with seeds ``config.seed + i``. All cells
     are checked, and None params defaulted, before any run.
 
     Each cell's seeds are split into ``min(jobs, runs)`` contiguous chunks,
@@ -201,7 +201,7 @@ def run_grid(
         if params is None:
             params = ALGORITHMS[algorithm].params()
         declared.append(make_objective(function).declared_optimum)
-        configs = [replace(config, seed=base_seed + i) for i in range(runs)]
+        configs = [replace(config, seed=config.seed + i) for i in range(runs)]
         for k in range(chunks):
             chunk = configs[k * runs // chunks : (k + 1) * runs // chunks]
             tasks.append((algorithm, function, chunk, params))
@@ -223,13 +223,13 @@ def run_experiment(
     objective_name: str,
     runs: int,
     config: RunConfig,
-    base_seed: int,
+    *,
     params=None,
     jobs: int = 1,
 ) -> tuple[ExperimentSummary, list[RunRecord]]:
-    """Execute ``runs`` independent replications and aggregate their finals:
-    ``run_grid`` over the one cell."""
-    return run_grid([(algorithm, objective_name, params)], runs, config, base_seed, jobs)[0]
+    """``run_grid`` over one cell: ``runs`` independent replications with
+    seeds ``config.seed + i``, and the summary of their finals."""
+    return run_grid([(algorithm, objective_name, params)], runs, config, jobs)[0]
 
 
 @dataclass(frozen=True)
@@ -301,28 +301,23 @@ def resolved_parameters(algorithm: str, config: RunConfig, params) -> dict:
 
 
 def build_summary_row(
-    algorithm: str,
-    objective_name: str,
-    runs: int,
-    config: RunConfig,
-    summary: ExperimentSummary,
-    base_seed: int,
-    params,
+    objective_name: str, summary: ExperimentSummary, seed_base: int, parameters: dict
 ) -> dict:
-    """One summary-CSV row, in SUMMARY_COLUMNS order."""
+    """One summary-CSV row, in SUMMARY_COLUMNS order, from an experiment's
+    summary and its ``resolved_parameters``."""
     return {
-        "algorithm": algorithm,
+        "algorithm": parameters["algorithm"],
         "function": objective_name,
-        "runs": runs,
-        "iterations": config.max_iterations,
-        "pop_size": ALGORITHMS[algorithm].population(config, params),
+        "runs": summary.run_count,
+        "iterations": parameters["max_iterations"],
+        "pop_size": parameters["population_size"],
         "worst": summary.worst,
         "best": summary.best,
         "mean": summary.mean,
         "sd": summary.sd,
         "success_rate": summary.success_rate,
-        "seed_base": base_seed,
-        "params_fingerprint": params_fingerprint(resolved_parameters(algorithm, config, params)),
+        "seed_base": seed_base,
+        "params_fingerprint": params_fingerprint(parameters),
     }
 
 

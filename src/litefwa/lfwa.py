@@ -110,24 +110,23 @@ class GenerationTrace:
     selected: np.ndarray | None = None
 
 
-def explosion_intensity(fitnesses, population_size: int) -> np.ndarray:
+def explosion_intensity(fitnesses) -> np.ndarray:
     """Spark count per firework from its normalized fitness gap.
 
-    Count i is ceil(M ** ((f_max - f_i) / (f_max - f_min + xi))): the worst
-    firework gets ceil(M**0) = 1 spark and the best approaches M. The
-    ceiling keeps every count in [1, M], and xi, fixed at machine epsilon
-    (``core.XI``), keeps the exponent finite when all fitnesses coincide.
+    Count i is ceil(M ** ((f_max - f_i) / (f_max - f_min + xi))), with M
+    the number of fireworks, ``len(fitnesses)``: the worst firework gets
+    ceil(M**0) = 1 spark and the best approaches M. The ceiling keeps every
+    count in [1, M], and xi, fixed at machine epsilon (``core.XI``), keeps
+    the exponent finite when all fitnesses coincide.
     """
     fitnesses = np.asarray(fitnesses, dtype=float)
-    if population_size < 1:
-        raise ValueError("population_size must be at least 1")
     f_max = np.maximum.reduce(fitnesses)
     f_min = np.minimum.reduce(fitnesses)
     # a NaN propagates into both extrema, and an infinity is one of them
     if not (math.isfinite(f_max) and math.isfinite(f_min)):
         raise ValueError("all fitnesses must be finite")
     exponents = (f_max - fitnesses) / (f_max - f_min + XI)
-    return np.ceil(np.power(float(population_size), exponents)).astype(int)
+    return np.ceil(np.power(float(fitnesses.size), exponents)).astype(int)
 
 
 def average_intensity(spark_counts) -> float:
@@ -241,7 +240,7 @@ def lfwa_step(
     m = config.population_size
     fireworks, pbest, pbest_fitness = state.fireworks, state.pbest, state.pbest_fitness
     core = state.core_index
-    counts = explosion_intensity(state.fitness, m)
+    counts = explosion_intensity(state.fitness)
     s_avg = average_intensity(counts)
     radii = explosion_radius(fireworks, pbest, pbest[core], counts, s_avg)
     raw_sparks = generate_explosion_sparks(fireworks, radii, counts, rng)

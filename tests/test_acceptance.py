@@ -43,9 +43,7 @@ _cache: dict = {}
 def experiment(algorithm: str, function: str):
     key = (algorithm, function)
     if key not in _cache:
-        _cache[key] = run_experiment(
-            algorithm, function, RUNS, PROTOCOL, base_seed=0, jobs=JOBS
-        )
+        _cache[key] = run_experiment(algorithm, function, RUNS, PROTOCOL, jobs=JOBS)
     return _cache[key]
 
 
@@ -314,7 +312,7 @@ def test_criterion_7_property_suite():
     for _ in range(300):
         m = int(sampler.integers(1, 10))
         fits = sampler.normal(size=m) * 10.0 ** sampler.integers(-9, 9)
-        counts = explosion_intensity(fits, m)
+        counts = explosion_intensity(fits)
         assert np.all((counts >= 1) & (counts <= m))
 
     # one short run, checking the branch rule, bounds closure, elite

@@ -47,6 +47,17 @@ def test_params_validation():
         BaParams(loudness_decay=1.5)
 
 
+def test_fwa_params_reject_a_budget_whose_spark_clamps_are_empty():
+    # round(0.2 * 2) = 0 sparks at most, below the lower clamp of 1: FWA
+    # would run with no explosion sparks at all
+    with pytest.raises(ValueError, match="total_spark_budget \\* intensity_max_fraction rounds "
+                                         "to 0 sparks per firework, below the lower clamp of 1"):
+        FwaParams(total_spark_budget=2, intensity_max_fraction=0.2)
+    assert FwaParams().spark_count_clamps == (2, 40)
+    assert FwaParams(total_spark_budget=10).spark_count_clamps == (1, 8)
+    assert FwaParams(total_spark_budget=2, intensity_max_fraction=0.3).spark_count_clamps == (1, 1)
+
+
 PARAMS_FIELDS = [
     pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
     for cls in (FwaParams, SpsoParams, BaParams)

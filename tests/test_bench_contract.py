@@ -72,44 +72,23 @@ def test_grid_share_patch_points_are_looked_up_at_call_time(monkeypatch):
         return execute_run(*args)
 
     monkeypatch.setattr(harness, "_execute_run", counting_run)
-    harness.run_experiment("lfwa", "f7", 2, RunConfig(max_iterations=2), base_seed=0)
+    harness.run_experiment("lfwa", "f7", 2, RunConfig(max_iterations=2))
     assert calls == [("lfwa", "f7")]
 
 
-def test_compare_reaches_execute_run_once_per_replication_in_cell_major_seed_order(
-    inline_pool, monkeypatch, tmp_path
-):
-    # With at least as many workers as runs every chunk holds one seed, so
-    # each replication, BA's included, reaches harness._execute_run through
-    # the module once, one (algorithm, function, seed) after another, cell
-    # by cell.
-    calls = []
-    execute_run = harness._execute_run
-
-    def counting_run(algorithm, function, configs, params):
-        calls.append((algorithm, function, [c.seed for c in configs]))
-        return execute_run(algorithm, function, configs, params)
-
-    monkeypatch.setattr(harness, "_execute_run", counting_run)
-    monkeypatch.chdir(tmp_path)
-    code = litefwa.cli.main(
-        ["compare", "--algorithms", "spso,ba,lfwa", "--functions", "f9,f7",
-         "--runs", "3", "--iterations", "2", "--seed", "5", "--jobs", "3"]
-    )
-    assert code == 0
-    assert calls == [
-        (algorithm, function, [seed])
-        for algorithm, function, seed in product(["spso", "ba", "lfwa"], ["f9", "f7"], [5, 6, 7])
-    ]
-
-
-def test_compare_reaches_execute_run_once_per_chunk_in_cell_major_seed_order(
-    inline_pool, monkeypatch, tmp_path
+@pytest.mark.parametrize(
+    "runs,jobs,chunks",
+    [("3", "3", [[5], [6], [7]]), ("4", "2", [[5, 6], [7, 8]])],
+    ids=["runs3-jobs3", "runs4-jobs2"],
+)
+def test_compare_reaches_execute_run_once_per_chunk_cell_by_cell(
+    runs, jobs, chunks, inline_pool, monkeypatch, tmp_path
 ):
     # The tracer and grid_share.py time tasks by patching
     # harness._execute_run. Every task of a compare, BA's lockstep chunks
     # included, must still call it through the module: one call per chunk
-    # of a cell's seeds (one chunk per worker), cell by cell.
+    # of a cell's seeds (one chunk per worker), cell by cell in seed order.
+    # With as many workers as runs, every chunk is one replication.
     calls = []
     execute_run = harness._execute_run
 
@@ -121,11 +100,11 @@ def test_compare_reaches_execute_run_once_per_chunk_in_cell_major_seed_order(
     monkeypatch.chdir(tmp_path)
     code = litefwa.cli.main(
         ["compare", "--algorithms", "spso,ba,lfwa", "--functions", "f9,f7",
-         "--runs", "4", "--iterations", "2", "--seed", "5", "--jobs", "2"]
+         "--runs", runs, "--iterations", "2", "--seed", "5", "--jobs", jobs]
     )
     assert code == 0
     assert calls == [
         (algorithm, function, seeds)
         for algorithm, function in product(["spso", "ba", "lfwa"], ["f9", "f7"])
-        for seeds in ([5, 6], [7, 8])
+        for seeds in chunks
     ]

@@ -164,6 +164,26 @@ def test_log10_curve_of_negative_values_is_a_usage_error(verb, tmp_path, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["compare", "--algorithms", "lfwa", "--functions", "f9", "--transform", "log10"],
+         "--transform"),
+        (["curve", "--algorithm", "lfwa", "--function", "f9", "--format", "json"], "--format"),
+    ],
+    ids=["compare-transform", "curve-format"],
+)
+def test_an_option_the_verb_does_not_use_is_a_usage_error(args, option, tmp_path, capsys):
+    # compare writes no curves and curve writes no summary
+    with pytest.raises(SystemExit) as exited:
+        run_cli(args + ["--runs", "1", "--iterations", "5", "--jobs", "1"], tmp_path, capsys)
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {option}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_provenance_records_resolved_parameters(tmp_path, capsys):
     run_cli(
         [

@@ -38,6 +38,17 @@ def test_search_space_rejects_non_finite_bounds(field, value):
         SearchSpace(**bounds)
 
 
+def test_search_space_keeps_its_own_read_only_bounds():
+    lower, upper = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    space = SearchSpace(lower, upper)
+    lower[:], upper[:] = 0.9, 0.95  # the caller reuses its arrays
+    assert space.lower.tolist() == [-1.0, -1.0] and space.upper.tolist() == [1.0, 1.0]
+    assert all(space.contains(p) for p in space.sample(RngStream(0), 200))
+    for name in ("lower", "upper", "width"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(space, name)[0] = 0.0
+
+
 def test_search_space_contains_and_sample():
     space = SearchSpace.symmetric(5.0, 3)
     assert space.contains([0.0, 5.0, -5.0])

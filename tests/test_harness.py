@@ -152,7 +152,7 @@ def test_curves_unknown_transform_error():
 
 
 def test_run_experiment_seeds_are_consecutive_and_summary_matches():
-    summary, records = run_experiment("lfwa", "f9", 3, FAST, base_seed=100)
+    summary, records = run_experiment("lfwa", "f9", 3, replace(FAST, seed=100))
     assert [r.seed for r in records] == [100, 101, 102]
     finals = [r.final_best.fitness for r in records]
     assert summary.run_count == 3
@@ -160,30 +160,42 @@ def test_run_experiment_seeds_are_consecutive_and_summary_matches():
     assert summary.worst == max(finals)
 
 
+def test_run_experiment_seeds_come_from_the_config():
+    _, records = run_experiment("lfwa", "f7", 2, RunConfig(seed=5, max_iterations=2))
+    assert [r.seed for r in records] == [5, 6]
+
+
+def test_run_experiment_takes_params_and_jobs_by_keyword_only():
+    # a stale caller passing a base seed by position fails instead of having
+    # the seed taken as params
+    with pytest.raises(TypeError):
+        run_experiment("lfwa", "f7", 2, RunConfig(max_iterations=2), 0)
+
+
 def test_run_experiment_single_run_degenerate_summary():
-    summary, records = run_experiment("lfwa", "f9", 1, FAST, base_seed=7)
+    summary, records = run_experiment("lfwa", "f9", 1, replace(FAST, seed=7))
     assert summary.worst == summary.best == summary.mean == records[0].final_best.fitness
     assert summary.sd == 0.0
 
 
 def test_run_experiment_is_reproducible():
-    s1, r1 = run_experiment("spso", "f8", 2, FAST, base_seed=5)
-    s2, r2 = run_experiment("spso", "f8", 2, FAST, base_seed=5)
+    s1, r1 = run_experiment("spso", "f8", 2, replace(FAST, seed=5))
+    s2, r2 = run_experiment("spso", "f8", 2, replace(FAST, seed=5))
     assert s1.finals.tolist() == s2.finals.tolist()
     for a, b in zip(r1, r2):
         assert np.array_equal(a.trajectory, b.trajectory)
 
 
 def test_run_experiment_parallel_matches_sequential():
-    seq, _ = run_experiment("lfwa", "f9", 4, FAST, base_seed=0, jobs=1)
-    par, par_records = run_experiment("lfwa", "f9", 4, FAST, base_seed=0, jobs=2)
+    seq, _ = run_experiment("lfwa", "f9", 4, FAST, jobs=1)
+    par, par_records = run_experiment("lfwa", "f9", 4, FAST, jobs=2)
     assert seq.finals.tolist() == par.finals.tolist()
     assert [r.seed for r in par_records] == [0, 1, 2, 3]
 
 
 def test_run_experiment_unknown_algorithm():
     with pytest.raises(KeyError, match="valid names"):
-        run_experiment("cmaes", "f1", 1, FAST, base_seed=0)
+        run_experiment("cmaes", "f1", 1, FAST)
 
 
 def test_run_experiment_failed_run_names_the_seed(monkeypatch):
@@ -194,14 +206,14 @@ def test_run_experiment_failed_run_names_the_seed(monkeypatch):
 
     monkeypatch.setitem(harness.ALGORITHMS, "lfwa", replace(ALGORITHMS["lfwa"], run=exploding_run))
     with pytest.raises(RuntimeError, match="seed 31"):
-        run_experiment("lfwa", "f1", 1, FAST, base_seed=31)
+        run_experiment("lfwa", "f1", 1, replace(FAST, seed=31))
 
 
 def test_run_experiment_unknown_objective_is_a_lookup_error():
     from litefwa.benchmarks import ObjectiveLookupError
 
     with pytest.raises(ObjectiveLookupError, match="valid names"):
-        run_experiment("lfwa", "f99", 1, FAST, base_seed=0)
+        run_experiment("lfwa", "f99", 1, FAST)
 
 
 def test_default_params_registry():
@@ -210,7 +222,7 @@ def test_default_params_registry():
     assert ALGORITHMS["spso"].params().swarm_size == 30
     assert ALGORITHMS["ba"].params().population == 30
     with pytest.raises(KeyError, match="unknown algorithm 'nope'; valid names: lfwa, fwa, spso, ba"):
-        run_experiment("nope", "f1", 1, FAST, base_seed=0, params=SpsoParams())
+        run_experiment("nope", "f1", 1, FAST, params=SpsoParams())
 
 
 GRID_CELLS = [("lfwa", "f9", None), ("spso", "f7", SpsoParams(swarm_size=6)), ("ba", "f8", None)]
@@ -218,10 +230,12 @@ GRID_CELLS = [("lfwa", "f9", None), ("spso", "f7", SpsoParams(swarm_size=6)), ("
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_grid_joins_each_cell_in_seed_order_as_run_experiment_does(jobs):
-    results = run_grid(GRID_CELLS, 3, FAST, base_seed=4, jobs=jobs)
+    results = run_grid(GRID_CELLS, 3, replace(FAST, seed=4), jobs=jobs)
     assert len(results) == len(GRID_CELLS)
     for (algorithm, function, params), (summary, records) in zip(GRID_CELLS, results):
-        alone, alone_records = run_experiment(algorithm, function, 3, FAST, 4, params=params)
+        alone, alone_records = run_experiment(
+            algorithm, function, 3, replace(FAST, seed=4), params=params
+        )
         assert [(r.algorithm, r.objective, r.seed) for r in records] == [
             (algorithm, function, seed) for seed in (4, 5, 6)
         ]
@@ -241,17 +255,17 @@ def test_run_grid_checks_every_cell_before_any_run(monkeypatch):
     monkeypatch.setattr(harness, "_execute_run", no_runs)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_runs)
     with pytest.raises(KeyError, match="unknown algorithm 'cmaes'; valid names"):
-        run_grid(GRID_CELLS + [("cmaes", "f1", None)], 2, FAST, base_seed=0, jobs=2)
+        run_grid(GRID_CELLS + [("cmaes", "f1", None)], 2, FAST, jobs=2)
     from litefwa.benchmarks import ObjectiveLookupError
 
     with pytest.raises(ObjectiveLookupError, match="valid names"):
-        run_grid(GRID_CELLS + [("lfwa", "f99", None)], 2, FAST, base_seed=0, jobs=2)
+        run_grid(GRID_CELLS + [("lfwa", "f99", None)], 2, FAST, jobs=2)
     with pytest.raises(ValueError, match="runs must be at least 1"):
-        run_grid(GRID_CELLS, 0, FAST, base_seed=0, jobs=2)
+        run_grid(GRID_CELLS, 0, FAST, jobs=2)
     with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
-        run_experiment("ba", "f7", 2, RunConfig(max_iterations=2), 0, jobs=0)
+        run_experiment("ba", "f7", 2, RunConfig(max_iterations=2), jobs=0)
     with pytest.raises(ValueError, match="^jobs must be at least 1, got -2$"):
-        run_grid(GRID_CELLS, 2, FAST, base_seed=0, jobs=-2)
+        run_grid(GRID_CELLS, 2, FAST, jobs=-2)
 
 
 def test_failed_run_inside_a_sequential_chunk_names_its_seed(inline_pool, monkeypatch):
@@ -271,7 +285,7 @@ def test_failed_run_inside_a_sequential_chunk_names_its_seed(inline_pool, monkey
         harness.ALGORITHMS, "lfwa", replace(ALGORITHMS["lfwa"], run=lfwa_failing_at_seed_1)
     )
     with pytest.raises(RuntimeError, match=r"^lfwa run on f1 with seed 1 failed: boom$"):
-        run_experiment("lfwa", "f1", 4, FAST, base_seed=0, jobs=2)
+        run_experiment("lfwa", "f1", 4, FAST, jobs=2)
     assert seen == [0, 1]
 
 
@@ -299,7 +313,7 @@ def test_ba_chunks_run_in_lockstep_unless_they_hold_one_seed(
     monkeypatch.setitem(
         harness.ALGORITHMS, "ba", replace(entry, run=counting_run, run_many=counting_run_many)
     )
-    _, records = run_experiment("ba", "f7", runs, FAST, base_seed=0, jobs=jobs)
+    _, records = run_experiment("ba", "f7", runs, FAST, jobs=jobs)
     assert seen == calls
     assert [r.seed for r in records] == list(range(runs))
 
@@ -342,7 +356,7 @@ def test_non_finite_value_in_a_lockstep_batch_names_its_rows_seed(
     monkeypatch.setattr(harness, "make_objective", lambda name: objective_with_a_failing_batch(
         name, failing_call, nan_in_row(row)))
     with pytest.raises(RuntimeError) as raised:
-        run_experiment("ba", "f1", 4, FAST, base_seed=10)
+        run_experiment("ba", "f1", 4, replace(FAST, seed=10))
     assert str(raised.value) == (
         f"ba run on f1 with seed {seed} failed: f1 returned non-finite value nan"
     )
@@ -357,7 +371,7 @@ def test_other_error_in_a_lockstep_batch_names_the_batchs_seeds(monkeypatch):
     monkeypatch.setattr(harness, "make_objective", lambda name: objective_with_a_failing_batch(
         name, 7, boom))
     with pytest.raises(RuntimeError, match=r"^ba runs on f1 with seeds 10, 11, 12, 13 failed: boom$"):
-        run_experiment("ba", "f1", 4, FAST, base_seed=10)
+        run_experiment("ba", "f1", 4, replace(FAST, seed=10))
 
 
 @pytest.mark.parametrize(
@@ -392,9 +406,12 @@ def test_provenance_lfwa_only_fields():
 
 
 def test_summary_row_and_csv_round_trip(tmp_path):
-    summary, _ = run_experiment("lfwa", "f9", 2, FAST, base_seed=0)
-    row = build_summary_row("lfwa", "f9", 2, FAST, summary, 0, None)
+    summary, _ = run_experiment("lfwa", "f9", 2, FAST)
+    parameters = resolved_parameters("lfwa", FAST, None)
+    row = build_summary_row("f9", summary, 0, parameters)
     assert list(row) == SUMMARY_COLUMNS
+    assert (row["runs"], row["iterations"], row["pop_size"]) == (2, 30, 5)
+    assert row["params_fingerprint"] == params_fingerprint(parameters)
     path = tmp_path / "summary.csv"
     write_summary_csv(path, [row])
     lines = path.read_text().strip().split("\n")
@@ -449,7 +466,7 @@ def test_fingerprint_is_stable_and_sensitive():
 
 
 def test_curves_csv_and_provenance_files(tmp_path):
-    _, records = run_experiment("lfwa", "f9", 2, FAST, base_seed=3)
+    _, records = run_experiment("lfwa", "f9", 2, replace(FAST, seed=3))
     table = export_curves(records)
     curve_path = tmp_path / "curves.csv"
     write_curves_csv(curve_path, table)

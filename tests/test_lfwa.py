@@ -60,13 +60,13 @@ def constant_objective(dim, value=7.0):
 
 
 def test_intensity_worst_firework_gets_one_spark():
-    counts = explosion_intensity([1.0, 2.0, 3.0, 4.0, 5.0], 5)
+    counts = explosion_intensity([1.0, 2.0, 3.0, 4.0, 5.0])
     assert counts[-1] == 1
 
 
 def test_intensity_matches_scalar_recomputation():
     fitnesses = [1.0, 2.0, 3.0, 4.0, 5.0]
-    counts = explosion_intensity(fitnesses, 5)
+    counts = explosion_intensity(fitnesses)
     expected = [
         math.ceil(5.0 ** ((5.0 - f) / (5.0 - 1.0 + XI))) for f in fitnesses
     ]
@@ -75,7 +75,7 @@ def test_intensity_matches_scalar_recomputation():
 
 
 def test_intensity_flat_population_all_one():
-    counts = explosion_intensity([4.2] * 7, 7)
+    counts = explosion_intensity([4.2] * 7)
     assert list(counts) == [1] * 7
 
 
@@ -84,7 +84,7 @@ def test_intensity_bounds_and_monotonicity_property():
     for _ in range(200):
         m = int(rng.integers(1, 12))
         fitnesses = rng.normal(size=m) * 10.0 ** rng.integers(-12, 12)
-        counts = explosion_intensity(fitnesses, m)
+        counts = explosion_intensity(fitnesses)
         assert np.all((counts >= 1) & (counts <= m))
         order = np.argsort(fitnesses)
         assert np.all(np.diff(counts[order]) <= 0)
@@ -93,9 +93,7 @@ def test_intensity_bounds_and_monotonicity_property():
 def test_intensity_rejects_bad_inputs():
     for bad in ([1.0, np.nan], [np.nan, np.nan], [1.0, np.inf], [-np.inf, 1.0], [np.inf, -np.inf]):
         with pytest.raises(ValueError, match="all fitnesses must be finite"):
-            explosion_intensity(bad, 2)
-    with pytest.raises(ValueError):
-        explosion_intensity([1.0], 0)
+            explosion_intensity(bad)
 
 
 def test_average_intensity():
