@@ -19,7 +19,6 @@ from .harness import (
     summarize,
 )
 from .lfwa import (
-    GenerationTrace,
     LfwaState,
     average_intensity,
     explosion_intensity,

@@ -18,7 +18,7 @@ optimum of 0 is kept for success-rate bookkeeping, and the contradiction
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,7 +38,8 @@ class Objective:
 
     ``func`` maps positions of shape ``(..., dim)`` to values of shape
     ``(...)``: a ``(dim,)`` row to a scalar, an ``(n, dim)`` batch to ``n``
-    values. ``declared_optimum`` is the target value a run is judged against.
+    values; ``dim`` is ``space.dim``, set at construction.
+    ``declared_optimum`` is the target value a run is judged against.
     ``known_minimizer`` is a point attaining it (absent for f6, where no
     such point exists on the domain). ``eval_count`` tallies every
     evaluation performed through this instance; callers that need
@@ -47,7 +48,7 @@ class Objective:
 
     name: str
     label: str
-    dim: int
+    dim: int = field(init=False)
     space: SearchSpace
     declared_optimum: float
     known_minimizer: np.ndarray | None
@@ -57,6 +58,9 @@ class Objective:
     standard_form: bool = True
     optimum_inconsistent: bool = False
     eval_count: int = 0
+
+    def __post_init__(self) -> None:
+        self.dim = self.space.dim
 
     def evaluate(self, position) -> float:
         """Evaluate one position of shape ``(dim,)``, incrementing the
@@ -336,7 +340,6 @@ def make_objective(name: str) -> Objective:
     return Objective(
         name=name,
         label=entry["label"],
-        dim=entry["dim"],
         space=SearchSpace.symmetric(entry["half_width"], entry["dim"]),
         declared_optimum=float(entry["declared_optimum"]),
         known_minimizer=minimizer,

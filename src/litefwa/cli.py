@@ -96,8 +96,6 @@ def _output_base(args, algorithms: list[str], functions: list[str]) -> str:
 
 
 def _build_config(args) -> RunConfig:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     population = {} if args.pop_size is None else {"population_size": args.pop_size}
     return RunConfig(
         max_iterations=args.iterations, tolerance=args.tolerance, seed=args.seed, **population

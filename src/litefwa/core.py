@@ -54,10 +54,6 @@ class SearchSpace:
         """Box ``[-half_width, half_width]`` replicated over ``dim`` dimensions."""
         return cls(np.full(dim, -float(half_width)), np.full(dim, float(half_width)))
 
-    def contains(self, position) -> bool:
-        position = np.asarray(position, dtype=float)
-        return bool(np.all(position >= self.lower) and np.all(position <= self.upper))
-
     def sample(self, rng: "RngStream", count: int) -> np.ndarray:
         """``count`` uniform random positions as a (count, d) array, one
         independent draw per coordinate, row-major from one draw."""

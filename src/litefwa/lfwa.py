@@ -53,7 +53,6 @@ from .core import XI, RngStream, RunConfig, RunRecord, drive, map_into_bounds
 
 __all__ = [
     "LfwaState",
-    "GenerationTrace",
     "explosion_intensity",
     "average_intensity",
     "explosion_radius",
@@ -86,28 +85,6 @@ class LfwaState:
     @property
     def core_index(self) -> int:
         return int(self.pbest_fitness.argmin())
-
-
-@dataclass
-class GenerationTrace:
-    """Optional record of one generation's intermediate quantities.
-
-    Filled by ``lfwa_step`` when passed in; used for step-by-step
-    verification against an independent transcription of the update rules.
-    Sparks are grouped by firework in slot order; ``selected`` holds the
-    candidate indices of the next generation, into fireworks + pbest + core
-    + explosion sparks + Gaussian sparks.
-    """
-
-    spark_counts: np.ndarray | None = None
-    mean_intensity: float | None = None
-    radii: np.ndarray | None = None
-    explosion_sparks_raw: np.ndarray | None = None
-    explosion_sparks_mapped: np.ndarray | None = None
-    gaussian_parents: list[int] | None = None
-    gaussian_sparks_raw: np.ndarray | None = None
-    gaussian_sparks_mapped: np.ndarray | None = None
-    selected: np.ndarray | None = None
 
 
 def explosion_intensity(fitnesses) -> np.ndarray:
@@ -155,13 +132,11 @@ def generate_explosion_sparks(x, radius, counts, rng: RngStream) -> np.ndarray:
     Each spark is x_i + beta * radius_i with beta uniform in [0, 1), drawn
     independently per dimension, all in one draw. Sparks come back as one
     (sum(counts), d) array grouped by firework in row order, unmapped;
-    bounds handling happens later. One 1-d firework with an integer count
-    is one row.
+    bounds handling happens later. ``x`` and ``radius`` are (M, d) arrays
+    and ``counts`` holds M counts.
     """
     x = np.asarray(x, dtype=float)
     radius = np.asarray(radius, dtype=float)
-    if x.ndim == 1:
-        x, radius, counts = x[None], radius[None], [counts]
     rows = np.arange(len(x)).repeat(counts)
     beta = rng.uniform(size=(rows.size, x.shape[1]))
     return x[rows] + beta * radius[rows]
@@ -234,7 +209,6 @@ def lfwa_step(
     objective: Objective,
     config: RunConfig,
     rng: RngStream,
-    trace: GenerationTrace | None = None,
 ) -> LfwaState:
     """Advance the population by one full generation."""
     m = config.population_size
@@ -249,11 +223,8 @@ def lfwa_step(
     n_explosion = len(raw_sparks)
     raw = np.empty((n_explosion + config.gaussian_spark_count, fireworks.shape[1]))
     raw[:n_explosion] = raw_sparks
-    parents: list[int] = []
     for row in range(n_explosion, len(raw)):
-        parent = rng.integers(0, m)
-        parents.append(parent)
-        raw[row] = gaussian_mutation(fireworks[parent], rng)
+        raw[row] = gaussian_mutation(fireworks[rng.integers(0, m)], rng)
 
     sparks = map_into_bounds(raw, objective.space, rng)
     values = objective.evaluate_many(sparks)
@@ -269,17 +240,6 @@ def lfwa_step(
         best_position, best_fitness = new_fireworks[0], float(new_fitness[0])
     else:
         best_position, best_fitness = state.best_position, state.best_fitness
-
-    if trace is not None:
-        trace.spark_counts = counts
-        trace.mean_intensity = s_avg
-        trace.radii = radii
-        trace.explosion_sparks_raw = raw_sparks
-        trace.explosion_sparks_mapped = sparks[:n_explosion]
-        trace.gaussian_parents = parents
-        trace.gaussian_sparks_raw = raw[n_explosion:]
-        trace.gaussian_sparks_mapped = sparks[n_explosion:]
-        trace.selected = selected
 
     return LfwaState(
         fireworks=new_fireworks,

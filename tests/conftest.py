@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+import litefwa.lfwa as lfwa
 
 
 class ConstantRng:
@@ -120,3 +124,65 @@ def inline_pool(monkeypatch):
     import litefwa.harness
 
     monkeypatch.setattr(litefwa.harness, "ProcessPoolExecutor", InlinePool)
+
+
+def in_box(space, x):
+    """Whether a position, or every row of a batch, lies in ``space``'s closed box."""
+    return bool(np.all((space.lower <= x) & (x <= space.upper)))
+
+
+# The operators lfwa_step calls through the lfwa module, looked up at call time.
+LFWA_OPERATORS = ("explosion_intensity", "average_intensity", "explosion_radius",
+                  "generate_explosion_sparks", "gaussian_mutation", "map_into_bounds",
+                  "select_next_generation")
+
+
+def traced_step(state, objective, config, rng):
+    """One ``lfwa_step`` with its seven operators wrapped for the call.
+
+    Returns the new state and a record of the generation read off the
+    operators' arguments and results: ``spark_counts``, ``mean_intensity``,
+    ``radii``, the raw and mapped explosion sparks, the Gaussian mutants'
+    input rows (``gaussian_inputs``), raw rows and mapped rows, and the
+    ``selected`` candidate indices. Every operator must be called once, and
+    ``gaussian_mutation`` once per mutant, so an operator the step stops
+    calling through the module fails here.
+    """
+    originals = {name: getattr(lfwa, name) for name in LFWA_OPERATORS}
+    calls = {name: [] for name in LFWA_OPERATORS}
+
+    def recording(name):
+        def wrapper(*args):
+            result = originals[name](*args)
+            calls[name].append((args, result))
+            return result
+        return wrapper
+
+    try:
+        for name in LFWA_OPERATORS:
+            setattr(lfwa, name, recording(name))
+        new_state = lfwa.lfwa_step(state, objective, config, rng)
+    finally:
+        for name, original in originals.items():
+            setattr(lfwa, name, original)
+
+    ((_, counts),) = calls["explosion_intensity"]
+    ((_, mean_intensity),) = calls["average_intensity"]
+    ((_, radii),) = calls["explosion_radius"]
+    ((_, raw_sparks),) = calls["generate_explosion_sparks"]
+    (((raw, _, _), mapped),) = calls["map_into_bounds"]
+    ((_, selected),) = calls["select_next_generation"]
+    mutations = calls["gaussian_mutation"]
+    assert len(mutations) == config.gaussian_spark_count
+    n = len(raw_sparks)
+    return new_state, SimpleNamespace(
+        spark_counts=counts,
+        mean_intensity=mean_intensity,
+        radii=radii,
+        explosion_sparks_raw=raw_sparks,
+        explosion_sparks_mapped=mapped[:n],
+        gaussian_inputs=np.array([args[0] for args, _ in mutations]),
+        gaussian_sparks_raw=raw[n:],
+        gaussian_sparks_mapped=mapped[n:],
+        selected=selected,
+    )

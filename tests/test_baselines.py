@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import in_box
 from litefwa.baselines import (
     BaParams,
     FwaParams,
@@ -24,7 +25,6 @@ def flat_objective(dim=3, value=2.5):
     return Objective(
         name="flat",
         label="Flat",
-        dim=dim,
         space=SearchSpace.symmetric(10.0, dim),
         declared_optimum=value,
         known_minimizer=np.zeros(dim),
@@ -143,7 +143,7 @@ def test_trajectory_monotone_and_final_in_bounds(runner, params):
     record = runner(objective, params, RunConfig(max_iterations=60, seed=4))
     assert np.all(np.diff(record.trajectory) <= 0.0)
     assert record.trajectory.shape == (61,)
-    assert objective.space.contains(record.final_best.position)
+    assert in_box(objective.space, record.final_best.position)
 
 
 def test_fwa_spark_counts_respect_published_clamp():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litefwa.benchmarks import ObjectiveLookupError, make_objective, objective_names
+from litefwa.benchmarks import Objective, ObjectiveLookupError, make_objective, objective_names
 from litefwa.core import EvaluationError, SearchSpace
 
 EXPECTED_METADATA = {
@@ -76,6 +76,15 @@ def test_dimension_mismatch_raises():
     obj = make_objective("f7")
     with pytest.raises(ValueError, match="dimension 2"):
         obj.evaluate(np.zeros(3))
+
+
+def test_objective_takes_its_dimension_from_its_space():
+    obj = Objective(name="sphere3", label="Sphere", space=SearchSpace.symmetric(1.0, 3),
+                    declared_optimum=0.0, known_minimizer=np.zeros(3),
+                    func=lambda x: np.sum(x * x, axis=-1))
+    assert obj.dim == 3
+    assert obj.evaluate_many(np.zeros((5, 3))).tolist() == [0.0] * 5
+    assert dataclasses.replace(obj, space=SearchSpace.symmetric(1.0, 2)).dim == 2
 
 
 def test_non_finite_value_raises_evaluation_error():

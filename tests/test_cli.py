@@ -270,7 +270,7 @@ def test_jobs_below_one_is_a_usage_error(args, jobs, tmp_path, capsys, monkeypat
         args + ["--runs", "1", "--iterations", "5", "--jobs", jobs], tmp_path, capsys
     )
     assert code == 2
-    assert f"--jobs must be at least 1, got {jobs}" in err
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
     assert out == ""
     assert list(tmp_path.iterdir()) == []
 

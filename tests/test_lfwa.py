@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import ConstantRng, RecordingRng
+from conftest import ConstantRng, RecordingRng, in_box, traced_step
 from litefwa.benchmarks import Objective, make_objective
 from litefwa.core import XI, RngStream, RunConfig, SearchSpace, map_into_bounds
 from litefwa.lfwa import (
     _SCALAR_SWAPS_MAX,
-    GenerationTrace,
     LfwaState,
     average_intensity,
     explosion_intensity,
@@ -36,7 +35,6 @@ def sphere_objective(dim, half_width=100.0, name="sphere"):
     return Objective(
         name=name,
         label="Sphere",
-        dim=dim,
         space=SearchSpace.symmetric(half_width, dim),
         declared_optimum=0.0,
         known_minimizer=np.zeros(dim),
@@ -48,7 +46,6 @@ def constant_objective(dim, value=7.0):
     return Objective(
         name="flat",
         label="Flat",
-        dim=dim,
         space=SearchSpace.symmetric(10.0, dim),
         declared_optimum=value,
         known_minimizer=np.zeros(dim),
@@ -144,26 +141,26 @@ def test_radius_batch_rows_match_single_firework_calls():
 
 
 def test_sparks_zero_beta_clones_the_firework():
-    sparks = generate_explosion_sparks(np.array([3.0, -4.0]), np.array([1.0, 2.0]), 4,
+    sparks = generate_explosion_sparks(np.array([[3.0, -4.0]]), np.array([[1.0, 2.0]]), [4],
                                        ConstantRng(uniform_value=0.0))
     assert np.array_equal(sparks, np.tile([3.0, -4.0], (4, 1)))
 
 
 def test_sparks_unit_beta_reaches_the_attractor():
-    x = np.array([1.0, 1.0])
+    x = np.array([[1.0, 1.0]])
     attractor = np.array([5.0, -3.0])
-    sparks = generate_explosion_sparks(x, attractor - x, 3, ConstantRng(uniform_value=1.0))
+    sparks = generate_explosion_sparks(x, attractor - x, [3], ConstantRng(uniform_value=1.0))
     assert np.allclose(sparks, np.tile(attractor, (3, 1)))
 
 
 def test_sparks_stay_in_displacement_box_property():
     rng = RngStream(42)
-    x = np.array([2.0, -1.0, 0.5])
-    radius = np.array([-3.0, 4.0, 0.0])
+    x = np.array([[2.0, -1.0, 0.5]])
+    radius = np.array([[-3.0, 4.0, 0.0]])
     lo = np.minimum(x, x + radius)
     hi = np.maximum(x, x + radius)
     for _ in range(1000):
-        sparks = generate_explosion_sparks(x, radius, 3, rng)
+        sparks = generate_explosion_sparks(x, radius, [3], rng)
         assert sparks.shape == (3, 3)
         assert np.all(sparks >= lo) and np.all(sparks <= hi)
 
@@ -175,7 +172,8 @@ def test_sparks_batch_equals_consecutive_single_firework_calls():
     counts = np.array([3, 1, 4, 2])
     batch = generate_explosion_sparks(x, radius, counts, RngStream(8))
     rng = RngStream(8)
-    rows = [generate_explosion_sparks(x[i], radius[i], counts[i], rng) for i in range(4)]
+    rows = [generate_explosion_sparks(x[i : i + 1], radius[i : i + 1], counts[i : i + 1], rng)
+            for i in range(4)]
     assert batch.shape == (10, 3)
     assert np.array_equal(batch, np.concatenate(rows))  # grouped by firework, bit for bit
 
@@ -402,15 +400,13 @@ def test_step_invariants_pbest_dominance_core_and_bounds():
     config = RunConfig(population_size=5, seed=3)
     state, rng = make_state(objective, config, 3)
     for _ in range(100):
-        trace = GenerationTrace()
-        state = lfwa_step(state, objective, config, rng, trace=trace)
+        state, trace = traced_step(state, objective, config, rng)
         for i in range(config.population_size):
             assert state.pbest_fitness[i] <= state.fitness[i]
         assert state.pbest_fitness[state.core_index] == min(state.pbest_fitness)
-        for position in state.fireworks:
-            assert objective.space.contains(position)
-        for pos in np.concatenate((trace.explosion_sparks_mapped, trace.gaussian_sparks_mapped)):
-            assert objective.space.contains(pos)
+        assert in_box(objective.space, state.fireworks)
+        assert in_box(objective.space, trace.explosion_sparks_mapped)
+        assert in_box(objective.space, trace.gaussian_sparks_mapped)
         # every row's fitness is its objective value
         assert np.array_equal(objective.evaluate_many(state.fireworks), state.fitness)
         assert np.array_equal(objective.evaluate_many(state.pbest), state.pbest_fitness)
@@ -421,11 +417,10 @@ def test_step_branch_rule_follows_intensity_vs_mean():
     config = RunConfig(population_size=5, seed=8)
     state, rng = make_state(objective, config, 8)
     for _ in range(20):
-        trace = GenerationTrace()
         fireworks_before = state.fireworks
         pbest_before = state.pbest
         core_before = state.pbest[state.core_index]
-        state = lfwa_step(state, objective, config, rng, trace=trace)
+        state, trace = traced_step(state, objective, config, rng)
         s_avg = trace.mean_intensity
         for i, radius in enumerate(trace.radii):
             if trace.spark_counts[i] < s_avg:
@@ -462,11 +457,10 @@ def test_step_spark_set_sizes_match_counts():
     objective = sphere_objective(4)
     config = RunConfig(population_size=5, seed=6, gaussian_sparks_per_generation=3)
     state, rng = make_state(objective, config, 6)
-    trace = GenerationTrace()
-    lfwa_step(state, objective, config, rng, trace=trace)
+    _, trace = traced_step(state, objective, config, rng)
     assert trace.explosion_sparks_mapped.shape == (int(trace.spark_counts.sum()), 4)
     assert trace.gaussian_sparks_mapped.shape == (3, 4)
-    assert len(trace.gaussian_parents) == 3
+    assert trace.gaussian_inputs.shape == (3, 4)
 
 
 def test_step_selected_rows_come_from_the_candidate_set():
@@ -474,9 +468,8 @@ def test_step_selected_rows_come_from_the_candidate_set():
     config = RunConfig(population_size=5, seed=4)
     state, rng = make_state(objective, config, 4)
     for _ in range(20):
-        trace = GenerationTrace()
         before = state
-        state = lfwa_step(state, objective, config, rng, trace=trace)
+        state, trace = traced_step(state, objective, config, rng)
         core = before.core_index
         candidates = np.concatenate((before.fireworks, before.pbest, before.pbest[core : core + 1],
                                      trace.explosion_sparks_mapped, trace.gaussian_sparks_mapped))
@@ -496,8 +489,7 @@ def test_step_integer_draws_follow_the_shuffle_crossover(function, seed, mutant_
     config = RunConfig(seed=seed)
     state, rng = make_state(objective, config, seed)
     recorder = RecordingRng(rng)
-    trace = GenerationTrace()
-    lfwa_step(state, objective, config, recorder, trace=trace)
+    _, trace = traced_step(state, objective, config, recorder)
     m, d = config.population_size, objective.dim
 
     def shuffle_calls(k, n):
@@ -539,8 +531,7 @@ def test_run_evaluation_count_is_exact():
     state = initialize_state(objective, config, rng)
     expected = config.population_size
     for _ in range(config.max_iterations):
-        trace = GenerationTrace()
-        state = lfwa_step(state, objective, config, rng, trace=trace)
+        state, trace = traced_step(state, objective, config, rng)
         expected += int(trace.spark_counts.sum()) + 2
     record = lfwa_run(sphere_objective(2), config)
     assert record.evaluations_used == expected

@@ -17,7 +17,8 @@ recorded tape in the engine's documented order, one call per batch:
 The tape replay checks the kind, size and integer bounds of every call, so
 a change to how draws are batched fails here even when the values agree.
 The result is a dictionary of every intermediate quantity, compared by the
-tests against the engine's GenerationTrace.
+tests against what ``conftest.traced_step`` reads off the engine's
+operators during the same generation.
 """
 
 import math
