@@ -27,7 +27,8 @@ from .core import (
     store_numbers,
 )
 
-__all__ = ["FwaParams", "SpsoParams", "BaParams", "fwa_run", "spso_run", "ba_run", "ba_runs"]
+__all__ = ["FwaParams", "SpsoParams", "BaParams",
+           "fwa_run", "fwa_runs", "spso_run", "spso_runs", "ba_run", "ba_runs"]
 
 
 @dataclass(frozen=True)
@@ -110,18 +111,62 @@ class BaParams:
             raise ValueError("pulse_growth must be positive")
 
 
-def _random_dim_masks(rows: int, dim: int, per_row_counts: np.ndarray, rng: RngStream) -> np.ndarray:
+def _random_dim_masks(uniforms: np.ndarray, per_row_counts: np.ndarray) -> np.ndarray:
     """Boolean (rows, dim) mask with exactly per_row_counts[k] True entries
-    per row, each subset uniform; one batched draw."""
-    ranks = rng.uniform(size=(rows, dim)).argsort(axis=1).argsort(axis=1)
+    per row, each subset uniform: the entries whose value in the (rows, dim)
+    ``uniforms`` ranks below the row's count."""
+    ranks = uniforms.argsort(axis=1).argsort(axis=1)
     return ranks < per_row_counts[:, None]
+
+
+def _select_fireworks(cand_positions: np.ndarray, cand_fitness: np.ndarray, m: int,
+                      rng: RngStream) -> np.ndarray:
+    """The indices of one run's next ``m`` fireworks among its candidates:
+    the elite first, then ``m - 1`` roulette picks among the others, each
+    weighted by its summed distance to every candidate, so that crowded
+    regions get lower selection pressure."""
+    elite = int(cand_fitness.argmin())
+    sq = np.add.reduce(cand_positions * cand_positions, axis=1)
+    gram2 = 2.0 * cand_positions @ cand_positions.T
+    dist_sq = np.maximum(sq[:, None] + sq[None, :] - gram2, 0.0)
+    crowding = np.add.reduce(np.sqrt(dist_sq), axis=1)
+    pool_indices = (np.arange(cand_fitness.size) != elite).nonzero()[0]
+    weights = crowding[pool_indices]
+    weight_sum = np.add.reduce(weights)
+    if weight_sum <= 0:
+        probs = np.full(weights.size, 1.0 / weights.size)
+    else:
+        probs = weights / weight_sum
+    cumulative = np.add.accumulate(probs)
+    spins = rng.uniform(size=m - 1)
+    picks = pool_indices[np.minimum(cumulative.searchsorted(spins), weights.size - 1)]
+    return np.concatenate(([elite], picks))
+
+
+def _evaluate_runs(objective: Objective, positions: np.ndarray) -> np.ndarray:
+    """The (R, n) fitness of R lockstep runs' (R, n, d) positions from one
+    ``evaluate_many``. An ``EvaluationError`` it raises has ``row`` set to
+    the index of its run."""
+    runs, n, d = positions.shape
+    try:
+        return objective.evaluate_many(positions.reshape(-1, d)).reshape(runs, n)
+    except EvaluationError as exc:
+        exc.row //= n
+        raise
 
 
 def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRecord:
     """Classic fireworks algorithm: budgeted spark counts with clamping,
     fitness-proportional amplitudes, shared-displacement explosion sparks,
     multiplicative Gaussian sparks, and distance-based roulette selection
-    that always keeps the best candidate."""
+    that always keeps the best candidate.
+
+    Up to the repair, a generation draws in this order: each spark's
+    dimension count, its dimension-subset uniforms, its offset, the mutant
+    parents, each mutant's dimension count, its subset uniforms and its
+    normal factor. ``fwa_runs`` gives the same records for many seeds at
+    once, faster.
+    """
     m = config.population_size
     d = objective.dim
     budget = params.total_spark_budget
@@ -153,14 +198,14 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
             total = parents.size
             sparks = positions[parents]
             z = np.rint(d * rng.uniform(size=total)).astype(int)
-            masks = _random_dim_masks(total, d, z, rng)
+            masks = _random_dim_masks(rng.uniform(size=(total, d)), z)
             offsets = amplitudes[parents] * (2.0 * rng.uniform(size=total) - 1.0)
             sparks += masks * offsets[:, None]
 
             g = params.gaussian_spark_count
             mutants = positions[rng.integers(0, m, size=g)]
             gz = np.rint(d * rng.uniform(size=g)).astype(int)
-            g_masks = _random_dim_masks(g, d, gz, rng)
+            g_masks = _random_dim_masks(rng.uniform(size=(g, d)), gz)
             factors = 1.0 + rng.normal(size=g)
             mutants = np.where(g_masks, mutants * factors[:, None], mutants)
 
@@ -169,32 +214,112 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
             cand_positions = np.concatenate((positions, new_positions))
             cand_fitness = np.concatenate((fitness, spark_fitness))
 
-            elite = int(cand_fitness.argmin())
+            keep = _select_fireworks(cand_positions, cand_fitness, m, rng)
+            elite = keep[0]
             if cand_fitness[elite] < best_fitness:
                 best_position = cand_positions[elite].copy()
                 best_fitness = float(cand_fitness[elite])
-
-            # Distance-based roulette over the non-elite candidates: crowded
-            # regions get lower selection pressure.
-            sq = np.add.reduce(cand_positions * cand_positions, axis=1)
-            gram2 = 2.0 * cand_positions @ cand_positions.T
-            dist_sq = np.maximum(sq[:, None] + sq[None, :] - gram2, 0.0)
-            crowding = np.add.reduce(np.sqrt(dist_sq), axis=1)
-            pool_indices = (np.arange(cand_fitness.size) != elite).nonzero()[0]
-            weights = crowding[pool_indices]
-            weight_sum = np.add.reduce(weights)
-            if weight_sum <= 0:
-                probs = np.full(weights.size, 1.0 / weights.size)
-            else:
-                probs = weights / weight_sum
-            cumulative = np.add.accumulate(probs)
-            spins = rng.uniform(size=m - 1)
-            picks = pool_indices[np.minimum(cumulative.searchsorted(spins), weights.size - 1)]
-            keep = np.concatenate(([elite], picks))
             positions = cand_positions[keep]
             fitness = cand_fitness[keep]
 
     return drive("fwa", objective, config, generations)
+
+
+def fwa_runs(objective: Objective, params: FwaParams, configs: list[RunConfig]) -> list[RunRecord]:
+    """``fwa_run`` for R configs that differ only in the seed, one record per
+    config, each bit for bit ``fwa_run``'s.
+
+    The runs advance in lockstep, one generation at a time. Each run draws
+    from its own stream in ``fwa_run``'s order, and every array operation is
+    elementwise or reduces along one run's fireworks, sparks or candidates.
+    The runs share one build of every run's sparks and mutants, one pass of
+    the subset masks, one bounds repair and one ``evaluate_many``; spark
+    counts differ by run, so those rows are ragged, run-major, each run's
+    sparks followed by its mutants. Each run then selects its next
+    fireworks alone, with ``fwa_run``'s crowding kernel. An
+    ``EvaluationError`` raised here has ``row`` set to the index in
+    ``configs`` of its run.
+    """
+    d = objective.dim
+    space = objective.space
+    budget = params.total_spark_budget
+    low_clamp, high_clamp = params.spark_count_clamps
+    g = params.gaussian_spark_count
+
+    def generations(rngs: list[RngStream]):
+        m = configs[0].population_size
+        runs = np.arange(len(rngs))
+        positions = np.stack([space.sample(rng, m) for rng in rngs])
+        fitness = _evaluate_runs(objective, positions)
+        best = fitness.argmin(axis=1)
+        best_positions = positions[runs, best]
+        best_fitness = fitness[runs, best]
+        evaluations = np.full(len(rngs), m)
+
+        while True:
+            yield best_positions, best_fitness.tolist(), evaluations.tolist()
+            # fwa_run's counts and amplitudes, each run's along its row
+            f_max = np.maximum.reduce(fitness, axis=1)[:, None]
+            f_min = np.minimum.reduce(fitness, axis=1)[:, None]
+            below_max_sums = np.add.reduce(f_max - fitness, axis=1)[:, None]
+            raw_counts = budget * (f_max - fitness + XI) / (below_max_sums + XI)
+            counts = np.minimum(np.maximum(np.rint(raw_counts).astype(int), low_clamp), high_clamp)
+            above_min_sums = np.add.reduce(fitness - f_min, axis=1)[:, None]
+            amplitudes = params.max_amplitude * (fitness - f_min + XI) / (above_min_sums + XI)
+            totals = np.add.reduce(counts, axis=1)
+            # fwa_run's seven draws, per run; the three spark draws, and the
+            # two mutant uniform draws, come as one block each
+            z, spark_uniforms, offsets, mutant_parents, gz, mutant_uniforms, normals = (
+                [] for _ in range(7))
+            for rng, total in zip(rngs, totals.tolist()):
+                block = rng.uniform(size=total * (d + 2))
+                z.append(block[:total])
+                spark_uniforms.append(block[total:-total])
+                offsets.append(block[-total:])
+                mutant_parents.append(rng.integers(0, m, size=g))
+                block = rng.uniform(size=g * (d + 1))
+                gz.append(block[:g])
+                mutant_uniforms.append(block[g:])
+                normals.append(rng.normal(size=g))
+
+            flat_positions = positions.reshape(-1, d)
+            parents = np.arange(counts.size).repeat(counts.ravel())
+            dims = np.rint(d * np.concatenate(z + gz)).astype(int)
+            uniforms = np.concatenate(spark_uniforms + mutant_uniforms).reshape(-1, d)
+            masks = _random_dim_masks(uniforms, dims)
+            sparks = flat_positions[parents]
+            offsets = amplitudes.ravel()[parents] * (2.0 * np.concatenate(offsets) - 1.0)
+            sparks += masks[: parents.size] * offsets[:, None]
+            mutants = flat_positions[runs.repeat(g) * m + np.concatenate(mutant_parents)]
+            factors = 1.0 + np.concatenate(normals)
+            mutants = np.where(masks[parents.size :], mutants * factors[:, None], mutants)
+
+            # run-major rows: the repair draws each run's betas in that order
+            order = np.concatenate((runs.repeat(totals), runs.repeat(g))).argsort(kind="stable")
+            row_runs = runs.repeat(totals + g)
+            new_positions = map_into_bounds(
+                np.concatenate((sparks, mutants))[order], space, rngs, row_runs)
+            try:
+                spark_fitness = objective.evaluate_many(new_positions)
+            except EvaluationError as exc:
+                exc.row = int(row_runs[exc.row])
+                raise
+            evaluations += totals + g
+
+            bounds = [0, *np.add.accumulate(totals + g).tolist()]
+            for r, rng in enumerate(rngs):
+                rows = slice(bounds[r], bounds[r + 1])
+                cand_positions = np.concatenate((positions[r], new_positions[rows]))
+                cand_fitness = np.concatenate((fitness[r], spark_fitness[rows]))
+                keep = _select_fireworks(cand_positions, cand_fitness, m, rng)
+                elite = keep[0]
+                if cand_fitness[elite] < best_fitness[r]:
+                    best_positions[r] = cand_positions[elite]
+                    best_fitness[r] = cand_fitness[elite]
+                positions[r] = cand_positions[keep]
+                fitness[r] = cand_fitness[keep]
+
+    return drive("fwa", objective, configs, generations)
 
 
 def spso_run(objective: Objective, params: SpsoParams, config: RunConfig) -> RunRecord:
@@ -240,6 +365,60 @@ def spso_run(objective: Objective, params: SpsoParams, config: RunConfig) -> Run
                 best_position, best_fitness = pbest_pos[g].copy(), float(pbest_fit[g])
 
     return drive("spso", objective, config, generations)
+
+
+def spso_runs(objective: Objective, params: SpsoParams,
+              configs: list[RunConfig]) -> list[RunRecord]:
+    """``spso_run`` for R configs that differ only in the seed, one record per
+    config, each bit for bit ``spso_run``'s.
+
+    The runs advance in lockstep as (R, n, d) blocks. Each run draws its
+    ``r1`` and ``r2`` from its own stream, and every array operation is
+    elementwise or reduces along one run's particles, so each run sees
+    ``spso_run``'s values. Per generation the runs share one velocity
+    update, one clip, one bounds repair and one ``evaluate_many`` of R * n
+    rows. An ``EvaluationError`` raised here has ``row`` set to the index
+    in ``configs`` of its run.
+    """
+    n = params.swarm_size
+    d = objective.dim
+    space = objective.space
+    v_max = params.velocity_clamp_fraction * space.width
+
+    def generations(rngs: list[RngStream]):
+        steps = max(configs[0].max_iterations - 1, 1)
+        runs = np.arange(len(rngs))
+        positions = np.stack([space.sample(rng, n) for rng in rngs])
+        fitness = _evaluate_runs(objective, positions)
+        velocities = np.zeros_like(positions)
+        pbest_pos = positions.copy()
+        pbest_fit = fitness.copy()
+        g = pbest_fit.argmin(axis=1)
+        best_positions, best_fitness = pbest_pos[runs, g], pbest_fit[runs, g]
+
+        for t in count():
+            yield best_positions, best_fitness.tolist(), [n * (t + 1)] * len(rngs)
+            w = params.inertia_start - (params.inertia_start - params.inertia_end) * (t / steps)
+            # r1 and r2 of each run, drawn one after the other as one block
+            r = np.stack([rng.uniform(size=(2, n, d)) for rng in rngs])
+            velocities = (
+                w * velocities
+                + params.cognitive * r[:, 0] * (pbest_pos - positions)
+                + params.social * r[:, 1] * (best_positions[:, None] - positions)
+            )
+            velocities = np.clip(velocities, -v_max, v_max)
+            positions = map_into_bounds(positions + velocities, space, rngs)
+            fitness = _evaluate_runs(objective, positions)
+
+            improved = fitness < pbest_fit
+            pbest_pos[improved] = positions[improved]
+            pbest_fit[improved] = fitness[improved]
+            g = pbest_fit.argmin(axis=1)
+            better = (pbest_fit[runs, g] < best_fitness).nonzero()[0]
+            best_positions[better] = pbest_pos[better, g[better]]
+            best_fitness[better] = pbest_fit[better, g[better]]
+
+    return drive("spso", objective, configs, generations)
 
 
 def ba_run(objective: Objective, params: BaParams, config: RunConfig) -> RunRecord:
@@ -323,25 +502,20 @@ def ba_runs(objective: Objective, params: BaParams, configs: list[RunConfig]) ->
     def generations(rngs: list[RngStream]):
         runs = np.arange(len(rngs))
         uniforms = [rng.uniform for rng in rngs]
-        samples = [space.sample(rng, n) for rng in rngs]
-        try:
-            values = objective.evaluate_many(np.concatenate(samples))
-        except EvaluationError as exc:
-            exc.row //= n
-            raise
+        samples = np.stack([space.sample(rng, n) for rng in rngs])
         # Bat-major positions, velocities and fitness, so that bat i of every
         # run is one contiguous (R, d) block; run-major loudness, whose row
         # sums then match ba_run's.
-        positions = np.stack(samples, axis=1)
+        fitness = _evaluate_runs(objective, samples).T.copy()
+        positions = samples.transpose(1, 0, 2).copy()
         velocities = np.zeros_like(positions)
-        fitness = values.reshape(len(rngs), n).T.copy()
         loudness = np.full((len(rngs), n), params.loudness)
         g = fitness.argmin(axis=0)
         best_positions = positions[g, runs]
         best_fitness = fitness[g, runs]
 
         for t in count(1):
-            yield best_positions, best_fitness.tolist()
+            yield best_positions, best_fitness.tolist(), [n * t] * len(rngs)
             pulse = pulse_rate * (1.0 - np.exp(-pulse_growth * t))
             for i in range(n):
                 freqs, fired = [], []

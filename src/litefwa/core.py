@@ -106,7 +106,7 @@ def store_numbers(instance, *integers) -> None:
             object.__setattr__(instance, name, float(value))
 
 
-def map_into_bounds(positions, space: SearchSpace, rng: "RngStream") -> np.ndarray:
+def map_into_bounds(positions, space: SearchSpace, rng: "RngStream", runs=None) -> np.ndarray:
     """Re-place out-of-bounds coordinates uniformly inside the box.
 
     Takes one (d,) position or an (n, d) batch and returns a new array of
@@ -115,17 +115,22 @@ def map_into_bounds(positions, space: SearchSpace, rng: "RngStream") -> np.ndarr
     order (no draw when none violates); in-bounds coordinates pass through
     unchanged.
 
-    ``rng`` may also be a list of n streams for an (n, d) batch whose rows
-    belong to n runs advanced in lockstep. Each row's betas then come from
-    its own stream, one block per row that violates, so every row gets the
-    values a (d,) call on that stream alone would give.
+    ``rng`` may also be a list of R streams, one per run of R runs advanced
+    in lockstep. The positions are then an (R, d) or (R, n, d) array whose
+    first axis is the run, or (N, d) rows with ``runs`` giving each row's
+    run. Those rows must be run-major (``runs`` nondecreasing), and a run
+    may own any number of them. Each run's betas come from its own stream,
+    one block per run that violates, so every run gets the values a call on
+    its own rows and stream alone would give.
     """
     positions = np.array(positions, dtype=float)
     mask = (positions < space.lower) | (positions > space.upper)
-    cols = mask.nonzero()[-1]
+    index = mask.nonzero()
+    cols = index[-1]
     if cols.size:
         if isinstance(rng, list):
-            counts = np.add.reduce(mask, axis=1).tolist()
+            owners = index[0] if runs is None else runs[index[0]]
+            counts = np.bincount(owners, minlength=len(rng)).tolist()
             betas = np.concatenate([s.uniform(size=k) for s, k in zip(rng, counts) if k])
         else:
             betas = rng.uniform(size=cols.size)
@@ -181,6 +186,7 @@ class RngStream:
         # self._gen keeps alive the bit generator whose state the pointer addresses
         bits = self._gen.bit_generator.ctypes
         self._next_uint32, self._bits_state = bits.next_uint32, bits.state
+        self._next_double = bits.next_double
 
     def __getstate__(self) -> dict:
         # a ctypes pointer cannot be pickled; a copy binds to its own generator
@@ -191,7 +197,11 @@ class RngStream:
         self._bind_bits()
 
     def uniform(self, size=None):
-        """Uniform draw(s) from [0, 1)."""
+        """Uniform draw(s) from [0, 1). A single draw reads the bit
+        generator's ``next_double``, the double ``Generator.random()``
+        returns, without numpy's argument handling."""
+        if size is None:
+            return self._next_double(self._bits_state)
         return self._gen.random(size)
 
     def normal(self, size=None):
@@ -307,15 +317,16 @@ def drive(algorithm: str, objective, config, generations):
     Python float fitness, once after initialization and once after each
     generation. ``drive`` takes ``config.max_iterations + 1`` of them and
     never resumes the generator after the last: that would run one more
-    generation of draws and evaluations.
+    generation of draws and evaluations. The record counts the evaluations
+    ``objective.eval_count`` gained over the run.
 
     ``config`` may also be a list of R configs that differ only in the
     seed, for R runs advanced in lockstep. ``generations`` then gets a list
     of R streams, one per config, and yields an (R, d) array of best
-    positions with a list of R fitnesses; only the last step's positions
-    are kept. ``drive`` returns one record per config, each with the
-    evaluation count divided by R, which is exact when every step evaluates
-    as many positions in each run.
+    positions, a list of R fitnesses and a list of R evaluation counts,
+    each the number of positions its run has evaluated so far. Only the
+    last step's positions and counts are kept. ``drive`` returns one record
+    per config.
     """
     lockstep = not isinstance(config, RunConfig)
     configs = list(config) if lockstep else [config]
@@ -325,14 +336,17 @@ def drive(algorithm: str, objective, config, generations):
     if lockstep and any(replace(c, seed=first.seed) != first for c in configs):
         raise ValueError("lockstep run configurations must differ only in the seed")
     rngs = [RngStream(c.seed) for c in configs]
-    evals_before = objective.eval_count
+    steps = islice(generations(rngs if lockstep else rngs[0]), first.max_iterations + 1)
     trajectory = []
-    steps = generations(rngs if lockstep else rngs[0])
-    for positions, fitness in islice(steps, first.max_iterations + 1):
-        trajectory.append(fitness)
-    evaluations = (objective.eval_count - evals_before) // len(configs)
-    if not lockstep:
-        trajectory, positions, fitness = [[f] for f in trajectory], [positions], [fitness]
+    if lockstep:
+        for positions, fitness, evaluations in steps:
+            trajectory.append(fitness)
+    else:
+        evals_before = objective.eval_count
+        for position, fitness in steps:
+            trajectory.append([fitness])
+        positions, fitness = [position], [fitness]
+        evaluations = [objective.eval_count - evals_before]
     records = [
         RunRecord(
             algorithm=algorithm,
@@ -340,8 +354,9 @@ def drive(algorithm: str, objective, config, generations):
             seed=c.seed,
             trajectory=column,
             final_best=Individual(position, f),
-            evaluations_used=evaluations,
+            evaluations_used=count,
         )
-        for c, column, position, f in zip(configs, np.array(trajectory).T.copy(), positions, fitness)
+        for c, column, position, f, count in zip(
+            configs, np.array(trajectory).T.copy(), positions, fitness, evaluations)
     ]
     return records if lockstep else records[0]

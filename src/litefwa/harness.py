@@ -11,9 +11,12 @@ with one column per run and an optional log10 transform.
 ``run_grid`` runs a grid of experiments as one flat task list through one
 process pool per call, and joins the results by position;
 ``run_experiment`` is its one-cell case. A task is one contiguous chunk of a
-cell's seeds, one chunk per worker. An algorithm with a lockstep form (BA's
-``ba_runs``) runs a chunk's replications together, sharing every array
-call; any other runs them one after another.
+cell's seeds, one chunk per worker. FWA, SPSO and BA have lockstep forms
+(``fwa_runs``, ``spso_runs``, ``ba_runs``) that run a chunk's replications
+together, sharing every array call, each record bit for bit the single
+run's; a one-seed chunk takes the single-run form, which costs less at one
+seed. LFWA, bound by per-run scalar draws, runs a chunk's seeds one after
+another.
 """
 
 from __future__ import annotations
@@ -117,7 +120,10 @@ class Algorithm:
     names the params field that sets the population, or is None when
     ``RunConfig.population_size`` does. ``run_many(objective, params,
     configs)``, when set, performs one run per config in lockstep and
-    returns the records ``run`` would, in order.
+    returns the records ``run`` would, in order, evaluation counts
+    included; an ``EvaluationError`` it raises names its run's index in
+    ``configs`` as ``row``. ``run`` stays the form for one seed, where it
+    is the cheaper of the two.
     """
 
     run: Callable[..., RunRecord]
@@ -144,8 +150,8 @@ class Algorithm:
 
 ALGORITHMS = {
     "lfwa": Algorithm(lambda objective, _, config: lfwa.lfwa_run(objective, config), None, None),
-    "fwa": Algorithm(baselines.fwa_run, baselines.FwaParams, None),
-    "spso": Algorithm(baselines.spso_run, baselines.SpsoParams, "swarm_size"),
+    "fwa": Algorithm(baselines.fwa_run, baselines.FwaParams, None, baselines.fwa_runs),
+    "spso": Algorithm(baselines.spso_run, baselines.SpsoParams, "swarm_size", baselines.spso_runs),
     "ba": Algorithm(baselines.ba_run, baselines.BaParams, "population", baselines.ba_runs),
 }
 

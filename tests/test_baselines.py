@@ -13,7 +13,9 @@ from litefwa.baselines import (
     ba_run,
     ba_runs,
     fwa_run,
+    fwa_runs,
     spso_run,
+    spso_runs,
 )
 from litefwa.benchmarks import Objective, make_objective, objective_names
 from litefwa.core import RunConfig, SearchSpace
@@ -198,6 +200,15 @@ def record_bytes(record):
             record.evaluations_used)
 
 
+def lockstep_configs(draw, **fields):
+    """A function and RunConfigs with ``fields``, 0..12 iterations and 2..5
+    seeds, not necessarily consecutive or distinct."""
+    function = draw(st.sampled_from(objective_names()))
+    iterations = draw(st.integers(0, 12))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=5))
+    return function, [RunConfig(max_iterations=iterations, seed=s, **fields) for s in seeds]
+
+
 @st.composite
 def lockstep_cases(draw):
     """BaParams with 2..8 bats (constant loudness and a single frequency
@@ -214,10 +225,7 @@ def lockstep_cases(draw):
         pulse_growth=draw(st.floats(0.01, 2.0)),
         local_step_scale=draw(st.floats(0.0, 1.0)),
     )
-    function = draw(st.sampled_from(objective_names()))
-    iterations = draw(st.integers(0, 12))
-    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=5))
-    return params, function, [RunConfig(max_iterations=iterations, seed=s) for s in seeds]
+    return params, *lockstep_configs(draw)
 
 
 @settings(max_examples=150, deadline=None)
@@ -236,3 +244,57 @@ def test_ba_runs_take_configs_that_differ_only_in_the_seed():
         ba_runs(make_objective("f7"), BaParams(), [SHORT, RunConfig(max_iterations=5, seed=1)])
     with pytest.raises(ValueError, match="at least one run configuration"):
         ba_runs(make_objective("f7"), BaParams(), [])
+
+
+@st.composite
+def fwa_lockstep_cases(draw):
+    """FwaParams with a budget of 2..20 sparks and 1..4 mutants, 2..10
+    fireworks, a function, 0..12 iterations and 2..5 seeds."""
+    params = FwaParams(
+        total_spark_budget=draw(st.integers(2, 20)),
+        intensity_min_fraction=draw(st.floats(0.01, 0.4)),
+        intensity_max_fraction=draw(st.floats(0.5, 0.95)),
+        max_amplitude=draw(st.floats(0.01, 100.0)),
+        gaussian_spark_count=draw(st.integers(1, 4)),
+    )
+    return params, *lockstep_configs(draw, population_size=draw(st.integers(2, 10)))
+
+
+@st.composite
+def spso_lockstep_cases(draw):
+    """SpsoParams with 2..8 particles (no velocity, and inertia constant,
+    included), a function, 0..12 iterations and 2..5 seeds."""
+    inertia_end = draw(st.floats(0.0, 1.0))
+    params = SpsoParams(
+        swarm_size=draw(st.integers(2, 8)),
+        inertia_start=draw(st.one_of(st.just(inertia_end), st.floats(inertia_end, 1.2))),
+        inertia_end=inertia_end,
+        cognitive=draw(st.floats(0.1, 3.0)),
+        social=draw(st.floats(0.1, 3.0)),
+        velocity_clamp_fraction=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+    )
+    return params, *lockstep_configs(draw)
+
+
+@pytest.mark.parametrize("runs,run,cases", [
+    (fwa_runs, fwa_run, fwa_lockstep_cases()),
+    (spso_runs, spso_run, spso_lockstep_cases()),
+], ids=["fwa", "spso"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fwa_and_spso_runs_equal_the_single_run_per_seed_bit_for_bit(runs, run, cases, data):
+    params, function, configs = data.draw(cases)
+    objective = make_objective(function)
+    records = runs(objective, params, configs)
+    alone = [run(make_objective(function), params, config) for config in configs]
+    assert [record_bytes(r) for r in records] == [record_bytes(r) for r in alone]
+    assert objective.eval_count == sum(r.evaluations_used for r in records)
+
+
+@pytest.mark.parametrize("runs,params", [(fwa_runs, FwaParams()), (spso_runs, SpsoParams())],
+                         ids=["fwa", "spso"])
+def test_fwa_and_spso_runs_take_configs_that_differ_only_in_the_seed(runs, params):
+    with pytest.raises(ValueError, match="differ only in the seed"):
+        runs(make_objective("f7"), params, [SHORT, RunConfig(max_iterations=5, seed=1)])
+    with pytest.raises(ValueError, match="at least one run configuration"):
+        runs(make_objective("f7"), params, [])

@@ -15,6 +15,7 @@ from litefwa.core import (
     RunConfig,
     RunRecord,
     SearchSpace,
+    map_into_bounds,
     require_finite,
 )
 from litefwa.lfwa import lfwa_run
@@ -188,6 +189,9 @@ _AFTER_TWO_WORDS = (158467206350786370838518872568213093796, 1, 920511140)
 STREAM_CANARY = {
     "random": (lambda rng: rng.uniform(size=3).tolist(),
                [0.6758313379812818, 0.21432320123825765, 0.3094520308816917], _AFTER_THREE_WORDS),
+    "random-scalar": (lambda rng: [rng.uniform() for _ in range(3)],
+                      [0.6758313379812818, 0.21432320123825765, 0.3094520308816917],
+                      _AFTER_THREE_WORDS),
     "standard_normal": (lambda rng: rng.normal(size=3).tolist(),
                         [1.0288568739519013, 1.6419200406711503, 1.1467195295966137],
                         _AFTER_THREE_WORDS),
@@ -205,6 +209,49 @@ def test_stream_canary_pins_each_primitive_as_numpy_2_4_6_draws_it(primitive):
     assert draw(rng) == values
     assert _state(rng) == {"bit_generator": "PCG64", "state": {"state": word, "inc": _CANARY_INC},
                            "has_uint32": has_uint32, "uinteger": uinteger}
+
+
+@st.composite
+def lockstep_repair_cases(draw):
+    """A box, 1..4 runs' row counts (equal counts when ``ragged`` is False)
+    and their run-major rows, each coordinate below, inside, on the bounds
+    of or above the box, so some rows need no repair."""
+    d = draw(st.integers(1, 4))
+    lower = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(0.01, 100.0), min_size=d, max_size=d)))
+    space = SearchSpace(lower, lower + width)
+    runs = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(0, 5), min_size=runs, max_size=runs))
+    else:
+        counts = [draw(st.integers(1, 5))] * runs
+    offsets = st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.5]) | st.floats(-1.0, 2.0)
+    rows = np.array(draw(st.lists(offsets, min_size=sum(counts) * d, max_size=sum(counts) * d)))
+    return space, counts, space.lower + rows.reshape(sum(counts), d) * space.width
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lockstep_repair_cases(), seeds=st.lists(st.integers(0, 2**32 - 1), min_size=4,
+                                                      max_size=4))
+def test_map_into_bounds_over_lockstep_runs_equals_one_call_per_run(case, seeds):
+    # one call over all runs' rows, each run's betas from its own stream,
+    # against one call per run on its own rows and stream
+    space, counts, rows = case
+    seeds = seeds[: len(counts)]
+    alone_rngs = [RngStream(s) for s in seeds]
+    parts = np.split(rows, np.add.accumulate(counts)[:-1])
+    alone = [map_into_bounds(part, space, rng) for part, rng in zip(parts, alone_rngs)]
+    forms = [(rows, np.arange(len(counts)).repeat(counts))]  # run-major ragged rows
+    if len(set(counts)) == 1:
+        forms.append((rows.reshape(len(counts), counts[0], space.dim), None))  # (R, n, d)
+        if counts[0] == 1:
+            forms.append((rows, None))  # (R, d)
+    for positions, runs in forms:
+        rngs = [RngStream(s) for s in seeds]
+        mapped = map_into_bounds(positions, space, rngs, runs)
+        assert mapped.shape == positions.shape
+        assert np.array_equal(mapped.reshape(rows.shape), np.concatenate(alone))
+        assert [_state(rng) for rng in rngs] == [_state(rng) for rng in alone_rngs]
 
 
 def test_rng_stream_copies_continue_the_stream_on_their_own():

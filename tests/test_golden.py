@@ -17,8 +17,9 @@ tables are checked:
   walk, and with two bats; FWA with a budget of 10 sparks; SPSO with 10
   particles).
 
-The BA cases are also run through ``ba_runs``, the lockstep form that
-``compare`` uses, one batch of seeds per function and variant.
+The FWA, SPSO and BA cases are also run through ``fwa_runs``,
+``spso_runs`` and ``ba_runs``, the lockstep forms that ``compare`` uses,
+one batch of seeds per function and variant.
 
 A change that reorders or merges random draws in a way that moves any value
 fails here by name. Regenerate the committed tables only for a change meant
@@ -36,7 +37,17 @@ import sys
 
 import pytest
 
-from litefwa.baselines import BaParams, FwaParams, SpsoParams, ba_run, ba_runs, fwa_run, spso_run
+from litefwa.baselines import (
+    BaParams,
+    FwaParams,
+    SpsoParams,
+    ba_run,
+    ba_runs,
+    fwa_run,
+    fwa_runs,
+    spso_run,
+    spso_runs,
+)
 from litefwa.benchmarks import make_objective, objective_names
 from litefwa.core import RunConfig
 from litefwa.lfwa import lfwa_run
@@ -59,6 +70,7 @@ BASELINES = {
     "spso": (spso_run, SpsoParams),
     "ba": (ba_run, BaParams),
 }
+LOCKSTEP_RUNS = {"fwa": fwa_runs, "spso": spso_runs, "ba": ba_runs}
 # name -> parameter fields, each run on VARIANT_FUNCTIONS
 BASELINE_VARIANTS = {
     "ba/pulse0.9": {"pulse_rate": 0.9},
@@ -161,33 +173,54 @@ def test_committed_baselines_table_covers_every_case():
     assert sorted(load_json(BASELINES_TABLE_PATH)) == sorted(baseline_cases())
 
 
-def ba_batches() -> dict[str, list[str]]:
-    """The ba/* cases of the baselines table, grouped by function and
-    variant: case-name prefix -> case names in seed order."""
+def lockstep_batches(*algorithms: str) -> dict[str, list[str]]:
+    """The cases of ``algorithms`` in the baselines table, grouped by
+    function and variant: case-name prefix -> case names in seed order."""
     batches: dict[str, list[str]] = {}
     for name, (algorithm, *_) in baseline_cases().items():
-        if algorithm == "ba":
+        if algorithm in algorithms:
             batches.setdefault(name.rsplit("/", 1)[0], []).append(name)
     return batches
 
 
-@pytest.mark.parametrize("prefix", sorted(ba_batches()))
-def test_ba_lockstep_batch_matches_committed_table(prefix):
-    names = ba_batches()[prefix]
-    _, function, _, params = baseline_cases()[names[0]]
+def check_lockstep_batch_against_table(prefix: str) -> None:
+    names = lockstep_batches(prefix.split("/")[0])[prefix]
+    algorithm, function, _, params = baseline_cases()[names[0]]
     configs = [RunConfig(**baseline_cases()[name][2]) for name in names]
-    records = ba_runs(make_objective(function), BaParams(**params), configs)
+    params = BASELINES[algorithm][1](**params)
+    records = LOCKSTEP_RUNS[algorithm](make_objective(function), params, configs)
     table = load_json(BASELINES_TABLE_PATH)
     assert [run_digest(r) for r in records] == [table[name] for name in names]
 
 
+def check_lockstep_batch_against_bench_golden(algorithm: str, function: str) -> None:
+    configs = [RunConfig(seed=seed) for seed in BENCH_SEEDS]
+    params = BASELINES[algorithm][1]()
+    records = LOCKSTEP_RUNS[algorithm](make_objective(function), params, configs)
+    serial = load_json(BENCH_GOLDEN_PATH)["serial"]
+    assert [run_digest(r) for r in records] == [serial[f"{algorithm}/{function}/{seed}"]
+                                                for seed in BENCH_SEEDS]
+
+
+@pytest.mark.parametrize("prefix", sorted(lockstep_batches("ba")))
+def test_ba_lockstep_batch_matches_committed_table(prefix):
+    check_lockstep_batch_against_table(prefix)
+
+
 @pytest.mark.parametrize("function", BENCH_FUNCTIONS)
 def test_ba_lockstep_batch_matches_bench_golden(function):
-    configs = [RunConfig(seed=seed) for seed in BENCH_SEEDS]
-    records = ba_runs(make_objective(function), BaParams(), configs)
-    serial = load_json(BENCH_GOLDEN_PATH)["serial"]
-    assert [run_digest(r) for r in records] == [serial[f"ba/{function}/{seed}"]
-                                                for seed in BENCH_SEEDS]
+    check_lockstep_batch_against_bench_golden("ba", function)
+
+
+@pytest.mark.parametrize("prefix", sorted(lockstep_batches("fwa", "spso")))
+def test_fwa_and_spso_lockstep_batches_match_committed_table(prefix):
+    check_lockstep_batch_against_table(prefix)
+
+
+@pytest.mark.parametrize("algorithm", ["fwa", "spso"])
+@pytest.mark.parametrize("function", BENCH_FUNCTIONS)
+def test_fwa_and_spso_lockstep_batches_match_bench_golden(algorithm, function):
+    check_lockstep_batch_against_bench_golden(algorithm, function)
 
 
 # FWA's crowding multiplies a Gram matrix through BLAS, the only BLAS call

@@ -289,18 +289,33 @@ def test_failed_run_inside_a_sequential_chunk_names_its_seed(inline_pool, monkey
     assert seen == [0, 1]
 
 
-@pytest.mark.parametrize("runs,jobs,calls", [
-    (1, 1, [("run", [0])]),
-    (3, 1, [("run_many", [0, 1, 2])]),
-    (3, 2, [("run", [0]), ("run_many", [1, 2])]),
-    (5, 3, [("run", [0]), ("run_many", [1, 2]), ("run_many", [3, 4])]),
-], ids=["one-seed", "one-chunk", "jobs2", "jobs3"])
+CHUNK_CASES = {
+    "one-seed": (1, 1, [("run", [0])]),
+    "one-chunk": (3, 1, [("run_many", [0, 1, 2])]),
+    "jobs2": (3, 2, [("run", [0]), ("run_many", [1, 2])]),
+    "jobs3": (5, 3, [("run", [0]), ("run_many", [1, 2]), ("run_many", [3, 4])]),
+}
+LOCKSTEP_ALGORITHMS = ("ba", "fwa", "spso")
+
+
+def lockstep_params(cases):
+    """Pytest params from ``cases``, algorithm -> case id -> values. BA's
+    ids are the case ids alone; the others' carry the algorithm in front."""
+    return [
+        pytest.param(algorithm, *values, id=name if algorithm == "ba" else f"{algorithm}-{name}")
+        for algorithm, by_name in cases.items()
+        for name, values in by_name.items()
+    ]
+
+
+@pytest.mark.parametrize("algorithm,runs,jobs,calls",
+                         lockstep_params(dict.fromkeys(LOCKSTEP_ALGORITHMS, CHUNK_CASES)))
 def test_ba_chunks_run_in_lockstep_unless_they_hold_one_seed(
-    runs, jobs, calls, inline_pool, monkeypatch
+    algorithm, runs, jobs, calls, inline_pool, monkeypatch
 ):
     import litefwa.harness as harness
 
-    entry, seen = ALGORITHMS["ba"], []
+    entry, seen = ALGORITHMS[algorithm], []
 
     def counting_run(objective, params, config):
         seen.append(("run", [config.seed]))
@@ -311,9 +326,9 @@ def test_ba_chunks_run_in_lockstep_unless_they_hold_one_seed(
         return entry.run_many(objective, params, configs)
 
     monkeypatch.setitem(
-        harness.ALGORITHMS, "ba", replace(entry, run=counting_run, run_many=counting_run_many)
+        harness.ALGORITHMS, algorithm, replace(entry, run=counting_run, run_many=counting_run_many)
     )
-    _, records = run_experiment("ba", "f7", runs, FAST, jobs=jobs)
+    _, records = run_experiment(algorithm, "f7", runs, FAST, jobs=jobs)
     assert seen == calls
     assert [r.seed for r in records] == list(range(runs))
 
@@ -341,28 +356,36 @@ def nan_in_row(row):
     return fail
 
 
-@pytest.mark.parametrize(
-    "failing_call,row,seed",
-    [(0, 2 * 30 + 1, 12), (0, 0, 10), (7, 3, 13), (7, 0, 10)],
-    ids=["initial-batch", "initial-batch-first-row", "bat-step", "bat-step-first-row"],
-)
+# One task runs seeds 10..13 together. Call 0 is the initial batch of 4 x 30
+# bats or particles, or 4 x 5 fireworks; a later call is one bat step or one
+# generation. A BA step holds one row per run and an SPSO generation 30;
+# an FWA generation holds each run's sparks and mutants, so its last row
+# belongs to the last run.
+NON_FINITE_CASES = {
+    "ba": {"initial-batch": (0, 2 * 30 + 1, 12), "initial-batch-first-row": (0, 0, 10),
+           "bat-step": (7, 3, 13), "bat-step-first-row": (7, 0, 10)},
+    "fwa": {"initial-batch": (0, 2 * 5 + 1, 12), "generation-last-row": (3, -1, 13)},
+    "spso": {"initial-batch": (0, 3 * 30 + 7, 13), "generation": (3, 30 + 4, 11)},
+}
+
+
+@pytest.mark.parametrize("algorithm,failing_call,row,seed", lockstep_params(NON_FINITE_CASES))
 def test_non_finite_value_in_a_lockstep_batch_names_its_rows_seed(
-    failing_call, row, seed, monkeypatch
+    algorithm, failing_call, row, seed, monkeypatch
 ):
-    # One BA task runs seeds 10..13 together; the failing row is run row
-    # // 30 of the initial batch of 4 x 30 bats, and run row of a bat step.
     import litefwa.harness as harness
 
     monkeypatch.setattr(harness, "make_objective", lambda name: objective_with_a_failing_batch(
         name, failing_call, nan_in_row(row)))
     with pytest.raises(RuntimeError) as raised:
-        run_experiment("ba", "f1", 4, replace(FAST, seed=10))
+        run_experiment(algorithm, "f1", 4, replace(FAST, seed=10))
     assert str(raised.value) == (
-        f"ba run on f1 with seed {seed} failed: f1 returned non-finite value nan"
+        f"{algorithm} run on f1 with seed {seed} failed: f1 returned non-finite value nan"
     )
 
 
-def test_other_error_in_a_lockstep_batch_names_the_batchs_seeds(monkeypatch):
+@pytest.mark.parametrize("algorithm", LOCKSTEP_ALGORITHMS)
+def test_other_error_in_a_lockstep_batch_names_the_batchs_seeds(algorithm, monkeypatch):
     import litefwa.harness as harness
 
     def boom(values):
@@ -370,8 +393,9 @@ def test_other_error_in_a_lockstep_batch_names_the_batchs_seeds(monkeypatch):
 
     monkeypatch.setattr(harness, "make_objective", lambda name: objective_with_a_failing_batch(
         name, 7, boom))
-    with pytest.raises(RuntimeError, match=r"^ba runs on f1 with seeds 10, 11, 12, 13 failed: boom$"):
-        run_experiment("ba", "f1", 4, replace(FAST, seed=10))
+    with pytest.raises(RuntimeError, match=(
+            f"^{algorithm} runs on f1 with seeds 10, 11, 12, 13 failed: boom$")):
+        run_experiment(algorithm, "f1", 4, replace(FAST, seed=10))
 
 
 @pytest.mark.parametrize(
