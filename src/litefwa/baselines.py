@@ -2,10 +2,11 @@
 
 All three run under the same protocol as the main optimizer (same run
 configuration, same uniform initialization pattern, same out-of-bounds
-mapping rule, and one recorder, ``core.drive``, fed the best-so-far after
-initialization and after each generation), so result differences reflect
-the algorithms and not the plumbing. Their parameters are pinned here as
-documented finite defaults and are printed into every report.
+mapping rule, and one recorder, ``core.drive``, fed the best-so-far and the
+evaluation counts after initialization and after each generation), so
+result differences reflect the algorithms and not the plumbing. Their
+parameters are pinned here as documented finite defaults and are printed
+into every report.
 """
 
 from __future__ import annotations
@@ -176,14 +177,16 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
     # The generation calls ufuncs and array methods, not the numpy wrappers
     # around them (np.sum, np.clip, np.round, np.argsort, np.vstack, ...),
     # which run the same loops; fancy indexing already returns a copy.
-    def generations(rng: RngStream):
+    def generations(rngs: list[RngStream]):
+        (rng,) = rngs
         positions = objective.space.sample(rng, m)
         fitness = objective.evaluate_many(positions)
         best_idx = int(fitness.argmin())
         best_position, best_fitness = positions[best_idx].copy(), float(fitness[best_idx])
+        evaluations = m
 
         while True:
-            yield best_position, best_fitness
+            yield [best_position], [best_fitness], [evaluations]
             f_max = np.maximum.reduce(fitness)
             f_min = np.minimum.reduce(fitness)
             raw_counts = budget * (f_max - fitness + XI) / (np.add.reduce(f_max - fitness) + XI)
@@ -211,6 +214,7 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
 
             new_positions = map_into_bounds(np.concatenate((sparks, mutants)), objective.space, rng)
             spark_fitness = objective.evaluate_many(new_positions)
+            evaluations += len(new_positions)
             cand_positions = np.concatenate((positions, new_positions))
             cand_fitness = np.concatenate((fitness, spark_fitness))
 
@@ -222,12 +226,13 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
             positions = cand_positions[keep]
             fitness = cand_fitness[keep]
 
-    return drive("fwa", objective, config, generations)
+    return drive("fwa", objective, config, generations)[0]
 
 
-def fwa_runs(objective: Objective, params: FwaParams, configs: list[RunConfig]) -> list[RunRecord]:
-    """``fwa_run`` for R configs that differ only in the seed, one record per
-    config, each bit for bit ``fwa_run``'s.
+def fwa_runs(objective: Objective, params: FwaParams, config: RunConfig,
+             runs: int) -> list[RunRecord]:
+    """``fwa_run`` for ``runs`` seeds from ``config.seed`` on, one record per
+    seed, each bit for bit ``fwa_run``'s.
 
     The runs advance in lockstep, one generation at a time. Each run draws
     from its own stream in ``fwa_run``'s order, and every array operation is
@@ -237,17 +242,16 @@ def fwa_runs(objective: Objective, params: FwaParams, configs: list[RunConfig]) 
     counts differ by run, so those rows are ragged, run-major, each run's
     sparks followed by its mutants. Each run then selects its next
     fireworks alone, with ``fwa_run``'s crowding kernel. An
-    ``EvaluationError`` raised here has ``row`` set to the index in
-    ``configs`` of its run.
+    ``EvaluationError`` raised here has ``row`` set to the index of its run.
     """
     d = objective.dim
     space = objective.space
     budget = params.total_spark_budget
     low_clamp, high_clamp = params.spark_count_clamps
     g = params.gaussian_spark_count
+    m = config.population_size
 
     def generations(rngs: list[RngStream]):
-        m = configs[0].population_size
         runs = np.arange(len(rngs))
         positions = np.stack([space.sample(rng, m) for rng in rngs])
         fitness = _evaluate_runs(objective, positions)
@@ -319,7 +323,7 @@ def fwa_runs(objective: Objective, params: FwaParams, configs: list[RunConfig]) 
                 positions[r] = cand_positions[keep]
                 fitness[r] = cand_fitness[keep]
 
-    return drive("fwa", objective, configs, generations)
+    return drive("fwa", objective, config, generations, runs)
 
 
 def spso_run(objective: Objective, params: SpsoParams, config: RunConfig) -> RunRecord:
@@ -334,7 +338,8 @@ def spso_run(objective: Objective, params: SpsoParams, config: RunConfig) -> Run
     v_max = params.velocity_clamp_fraction * space.width
     steps = max(config.max_iterations - 1, 1)
 
-    def generations(rng: RngStream):
+    def generations(rngs: list[RngStream]):
+        (rng,) = rngs
         positions = space.sample(rng, n)
         fitness = objective.evaluate_many(positions)
         velocities = np.zeros_like(positions)
@@ -344,7 +349,7 @@ def spso_run(objective: Objective, params: SpsoParams, config: RunConfig) -> Run
         best_position, best_fitness = pbest_pos[g].copy(), float(pbest_fit[g])
 
         for t in count():
-            yield best_position, best_fitness
+            yield [best_position], [best_fitness], [n * (t + 1)]
             w = params.inertia_start - (params.inertia_start - params.inertia_end) * (t / steps)
             r1 = np.asarray(rng.uniform(size=positions.shape))
             r2 = np.asarray(rng.uniform(size=positions.shape))
@@ -364,29 +369,29 @@ def spso_run(objective: Objective, params: SpsoParams, config: RunConfig) -> Run
             if pbest_fit[g] < best_fitness:
                 best_position, best_fitness = pbest_pos[g].copy(), float(pbest_fit[g])
 
-    return drive("spso", objective, config, generations)
+    return drive("spso", objective, config, generations)[0]
 
 
-def spso_runs(objective: Objective, params: SpsoParams,
-              configs: list[RunConfig]) -> list[RunRecord]:
-    """``spso_run`` for R configs that differ only in the seed, one record per
-    config, each bit for bit ``spso_run``'s.
+def spso_runs(objective: Objective, params: SpsoParams, config: RunConfig,
+              runs: int) -> list[RunRecord]:
+    """``spso_run`` for ``runs`` seeds from ``config.seed`` on, one record per
+    seed, each bit for bit ``spso_run``'s.
 
     The runs advance in lockstep as (R, n, d) blocks. Each run draws its
     ``r1`` and ``r2`` from its own stream, and every array operation is
     elementwise or reduces along one run's particles, so each run sees
     ``spso_run``'s values. Per generation the runs share one velocity
     update, one clip, one bounds repair and one ``evaluate_many`` of R * n
-    rows. An ``EvaluationError`` raised here has ``row`` set to the index
-    in ``configs`` of its run.
+    rows. An ``EvaluationError`` raised here has ``row`` set to the index of
+    its run.
     """
     n = params.swarm_size
     d = objective.dim
     space = objective.space
     v_max = params.velocity_clamp_fraction * space.width
+    steps = max(config.max_iterations - 1, 1)
 
     def generations(rngs: list[RngStream]):
-        steps = max(configs[0].max_iterations - 1, 1)
         runs = np.arange(len(rngs))
         positions = np.stack([space.sample(rng, n) for rng in rngs])
         fitness = _evaluate_runs(objective, positions)
@@ -418,7 +423,7 @@ def spso_runs(objective: Objective, params: SpsoParams,
             best_positions[better] = pbest_pos[better, g[better]]
             best_fitness[better] = pbest_fit[better, g[better]]
 
-    return drive("spso", objective, configs, generations)
+    return drive("spso", objective, config, generations, runs)
 
 
 def ba_run(objective: Objective, params: BaParams, config: RunConfig) -> RunRecord:
@@ -441,7 +446,8 @@ def ba_run(objective: Objective, params: BaParams, config: RunConfig) -> RunReco
     pulse_rate, pulse_growth = params.pulse_rate, params.pulse_growth
     step_scale, decay = params.local_step_scale, params.loudness_decay
 
-    def generations(rng: RngStream):
+    def generations(rngs: list[RngStream]):
+        (rng,) = rngs
         uniform, normal = rng.uniform, rng.normal
         sample = space.sample(rng, n)
         fitness = objective.evaluate_many(sample).tolist()
@@ -453,7 +459,7 @@ def ba_run(objective: Objective, params: BaParams, config: RunConfig) -> RunReco
         best_fitness = fitness[g]
 
         for t in count(1):
-            yield best_position, best_fitness
+            yield [best_position], [best_fitness], [n * t]
             pulse = pulse_rate * (1.0 - np.exp(-pulse_growth * t))
             for i in range(n):
                 freq = f_min + frequency_span * uniform()
@@ -476,12 +482,13 @@ def ba_run(objective: Objective, params: BaParams, config: RunConfig) -> RunReco
                     best_position = candidate
                     best_fitness = value
 
-    return drive("ba", objective, config, generations)
+    return drive("ba", objective, config, generations)[0]
 
 
-def ba_runs(objective: Objective, params: BaParams, configs: list[RunConfig]) -> list[RunRecord]:
-    """``ba_run`` for R configs that differ only in the seed, one record per
-    config, each bit for bit ``ba_run``'s.
+def ba_runs(objective: Objective, params: BaParams, config: RunConfig,
+            runs: int) -> list[RunRecord]:
+    """``ba_run`` for ``runs`` seeds from ``config.seed`` on, one record per
+    seed, each bit for bit ``ba_run``'s.
 
     The runs advance in lockstep: bat i moves in every run before bat i + 1
     moves in any. Each run draws from its own stream in ``ba_run``'s order,
@@ -489,7 +496,7 @@ def ba_runs(objective: Objective, params: BaParams, configs: list[RunConfig]) ->
     row, so each run sees ``ba_run``'s values. What the runs share is the
     cost of each numpy call: per bat, one velocity update, one bounds repair
     and one ``evaluate_many`` serve all R runs. An ``EvaluationError``
-    raised here has ``row`` set to the index in ``configs`` of its run.
+    raised here has ``row`` set to the index of its run.
     """
     n = params.population
     d = objective.dim
@@ -542,4 +549,4 @@ def ba_runs(objective: Objective, params: BaParams, configs: list[RunConfig]) ->
                 np.copyto(best_positions, candidates, where=improved[:, None])
                 np.copyto(best_fitness, values, where=improved)
 
-    return drive("ba", objective, configs, generations)
+    return drive("ba", objective, config, generations, runs)

@@ -42,8 +42,7 @@ class Objective:
     ``declared_optimum`` is the target value a run is judged against.
     ``known_minimizer`` is a point attaining it (absent for f6, where no
     such point exists on the domain). ``eval_count`` tallies every
-    evaluation performed through this instance; callers that need
-    per-run counts construct one instance per run.
+    evaluation performed through this instance, over all the runs it serves.
     """
 
     name: str

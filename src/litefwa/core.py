@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -78,17 +78,25 @@ def require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def as_integer(name: str, value, least: int | None = None) -> int:
+    """``operator.index`` of ``value``, so a numpy integer becomes a Python
+    int; raise ValueError naming ``name`` for a value that is not an integer,
+    one ``operator.index`` refuses (floats, NaN, strings, None), or that is
+    below ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 def store_integers(instance, *names) -> None:
     """Replace each named field of the frozen dataclass ``instance`` by
-    ``operator.index`` of its value, so a numpy integer is stored as a Python
-    int; raise ValueError naming the first value that is not an integer, one
-    ``operator.index`` refuses (floats, NaN, strings)."""
+    ``as_integer`` of its value, raising for the first that is not one."""
     for name in names:
-        value = getattr(instance, name)
-        try:
-            object.__setattr__(instance, name, operator.index(value))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(instance, name, as_integer(name, getattr(instance, name)))
 
 
 def store_numbers(instance, *integers) -> None:
@@ -309,54 +317,34 @@ class RunRecord:
             raise ValueError("final_best.fitness must equal the last trajectory entry")
 
 
-def drive(algorithm: str, objective, config, generations):
-    """One run of ``algorithm`` on ``objective`` under the shared protocol.
+def drive(algorithm: str, objective, config: RunConfig, generations, runs: int = 1):
+    """``runs`` runs of ``algorithm`` on ``objective`` under the shared
+    protocol, seeded ``config.seed + r`` for r in ``range(runs)``, one record
+    per run in seed order.
 
-    ``generations(rng)`` is a generator over the run's stream, seeded with
-    ``config.seed``. It yields the best-so-far ``(position, fitness)``, a
-    Python float fitness, once after initialization and once after each
-    generation. ``drive`` takes ``config.max_iterations + 1`` of them and
-    never resumes the generator after the last: that would run one more
-    generation of draws and evaluations. The record counts the evaluations
-    ``objective.eval_count`` gained over the run.
-
-    ``config`` may also be a list of R configs that differ only in the
-    seed, for R runs advanced in lockstep. ``generations`` then gets a list
-    of R streams, one per config, and yields an (R, d) array of best
-    positions, a list of R fitnesses and a list of R evaluation counts,
-    each the number of positions its run has evaluated so far. Only the
-    last step's positions and counts are kept. ``drive`` returns one record
-    per config.
+    ``generations(rngs)`` is a generator over the runs' streams, one per
+    seed. It yields the runs' best-so-far positions (an (R, d) array or R
+    rows), their R Python float fitnesses and their R evaluation counts,
+    each the number of positions its run has evaluated so far: once after
+    initialization and once after each generation. ``drive`` takes
+    ``config.max_iterations + 1`` of them and never resumes the generator
+    after the last: that would run one more generation of draws and
+    evaluations. Only the last step's positions and counts are kept.
     """
-    lockstep = not isinstance(config, RunConfig)
-    configs = list(config) if lockstep else [config]
-    if not configs:
-        raise ValueError("need at least one run configuration")
-    first = configs[0]
-    if lockstep and any(replace(c, seed=first.seed) != first for c in configs):
-        raise ValueError("lockstep run configurations must differ only in the seed")
-    rngs = [RngStream(c.seed) for c in configs]
-    steps = islice(generations(rngs if lockstep else rngs[0]), first.max_iterations + 1)
+    seeds = range(config.seed, config.seed + as_integer("runs", runs, least=1))
+    steps = islice(generations([RngStream(seed) for seed in seeds]), config.max_iterations + 1)
     trajectory = []
-    if lockstep:
-        for positions, fitness, evaluations in steps:
-            trajectory.append(fitness)
-    else:
-        evals_before = objective.eval_count
-        for position, fitness in steps:
-            trajectory.append([fitness])
-        positions, fitness = [position], [fitness]
-        evaluations = [objective.eval_count - evals_before]
-    records = [
+    for positions, fitness, evaluations in steps:
+        trajectory.append(fitness)
+    return [
         RunRecord(
             algorithm=algorithm,
             objective=objective.name,
-            seed=c.seed,
+            seed=seed,
             trajectory=column,
             final_best=Individual(position, f),
             evaluations_used=count,
         )
-        for c, column, position, f, count in zip(
-            configs, np.array(trajectory).T.copy(), positions, fitness, evaluations)
+        for seed, column, position, f, count in zip(
+            seeds, np.array(trajectory).T.copy(), positions, fitness, evaluations)
     ]
-    return records if lockstep else records[0]

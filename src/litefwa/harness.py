@@ -11,12 +11,13 @@ with one column per run and an optional log10 transform.
 ``run_grid`` runs a grid of experiments as one flat task list through one
 process pool per call, and joins the results by position;
 ``run_experiment`` is its one-cell case. A task is one contiguous chunk of a
-cell's seeds, one chunk per worker. FWA, SPSO and BA have lockstep forms
-(``fwa_runs``, ``spso_runs``, ``ba_runs``) that run a chunk's replications
-together, sharing every array call, each record bit for bit the single
-run's; a one-seed chunk takes the single-run form, which costs less at one
-seed. LFWA, bound by per-run scalar draws, runs a chunk's seeds one after
-another.
+cell's seeds, one chunk per worker, given as its first seed's config and a
+run count; its runs share one objective, since every run form counts its own
+evaluations. FWA, SPSO and BA have lockstep forms (``fwa_runs``,
+``spso_runs``, ``ba_runs``) that run a chunk's replications together,
+sharing every array call, each record bit for bit the single run's; a
+one-seed chunk takes the single-run form, which costs less at one seed.
+LFWA, bound by per-run scalar draws, runs a chunk's seeds one after another.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import baselines, lfwa
 from .benchmarks import make_objective
-from .core import XI, EvaluationError, RunConfig, RunRecord
+from .core import XI, EvaluationError, RunConfig, RunRecord, as_integer
 
 __all__ = [
     "ExperimentSummary",
@@ -119,11 +120,11 @@ class Algorithm:
     LFWA-only ``RunConfig`` fields then enter provenance. ``population_field``
     names the params field that sets the population, or is None when
     ``RunConfig.population_size`` does. ``run_many(objective, params,
-    configs)``, when set, performs one run per config in lockstep and
-    returns the records ``run`` would, in order, evaluation counts
-    included; an ``EvaluationError`` it raises names its run's index in
-    ``configs`` as ``row``. ``run`` stays the form for one seed, where it
-    is the cheaper of the two.
+    config, runs)``, when set, performs ``runs`` runs with seeds
+    ``config.seed + r`` in lockstep and returns the records ``run`` would,
+    in seed order, evaluation counts included; an ``EvaluationError`` it
+    raises names its run's index ``r`` as ``row``. ``run`` stays the form
+    for one seed, where it is the cheaper of the two.
     """
 
     run: Callable[..., RunRecord]
@@ -157,27 +158,29 @@ ALGORITHMS = {
 
 
 def _execute_run(
-    algorithm: str, objective_name: str, configs: list[RunConfig], params
+    algorithm: str, objective_name: str, config: RunConfig, runs: int, params
 ) -> list[RunRecord]:
-    """The records of one task, a chunk of one cell's seeds: in lockstep
-    through ``run_many`` when the algorithm has one and the chunk holds more
-    than one seed, else one ``run`` per seed, each on its own objective."""
+    """The records of one task, the ``runs`` seeds of one cell from
+    ``config.seed`` on, all on one objective: in lockstep through
+    ``run_many`` when the algorithm has one and the chunk holds more than
+    one seed, else one ``run`` per seed."""
     entry = ALGORITHMS[algorithm]
-    lockstep = entry.run_many is not None and len(configs) > 1
+    objective = make_objective(objective_name)
+    lockstep = entry.run_many is not None and runs > 1
     records = []
     try:
         if lockstep:
-            return entry.run_many(make_objective(objective_name), params, configs)
-        for config in configs:
-            records.append(entry.run(make_objective(objective_name), params, config))
+            return entry.run_many(objective, params, config, runs)
+        for r in range(runs):
+            records.append(entry.run(objective, params, replace(config, seed=config.seed + r)))
         return records
     except Exception as exc:
         if not lockstep:
-            failed = f"run on {objective_name} with seed {configs[len(records)].seed}"
+            failed = f"run on {objective_name} with seed {config.seed + len(records)}"
         elif isinstance(exc, EvaluationError) and exc.row is not None:
-            failed = f"run on {objective_name} with seed {configs[exc.row].seed}"
+            failed = f"run on {objective_name} with seed {config.seed + exc.row}"
         else:
-            seeds = ", ".join(str(c.seed) for c in configs)
+            seeds = ", ".join(str(config.seed + r) for r in range(runs))
             failed = f"runs on {objective_name} with seeds {seeds}"
         raise RuntimeError(f"{algorithm} {failed} failed: {exc}") from exc
 
@@ -193,12 +196,13 @@ def run_grid(
     one ``_execute_run`` task each, so that no two chunks of a grid differ
     by more than one seed. The tasks run in cell-major, seed order, through
     one process pool when ``jobs > 1``; their records are joined by
-    position, never by completion order."""
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    position, never by completion order. ``runs`` and ``jobs`` are integers
+    of at least 1."""
+    runs, jobs = as_integer("runs", runs, least=1), as_integer("jobs", jobs, least=1)
     chunks = min(jobs, runs)
+    bounds = [k * runs // chunks for k in range(chunks + 1)]
+    seed_chunks = [(replace(config, seed=config.seed + start), stop - start)
+                   for start, stop in zip(bounds, bounds[1:])]
     tasks, declared = [], []
     for algorithm, function, params in cells:
         if algorithm not in ALGORITHMS:
@@ -207,10 +211,7 @@ def run_grid(
         if params is None:
             params = ALGORITHMS[algorithm].params()
         declared.append(make_objective(function).declared_optimum)
-        configs = [replace(config, seed=config.seed + i) for i in range(runs)]
-        for k in range(chunks):
-            chunk = configs[k * runs // chunks : (k + 1) * runs // chunks]
-            tasks.append((algorithm, function, chunk, params))
+        tasks += [(algorithm, function, first, count, params) for first, count in seed_chunks]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_execute_run, *zip(*tasks)))

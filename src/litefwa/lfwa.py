@@ -37,8 +37,8 @@ array ``low`` as the scalar calls in sequence, leaving the same generator
 state. ``tests/test_core.py`` checks both identities, and seeded outputs are
 unchanged from the per-firework implementation.
 
-``lfwa_run`` yields the best-so-far after ``initialize_state`` and after
-each ``lfwa_step`` to ``core.drive``, which records the run.
+``lfwa_run`` yields the best-so-far and its evaluation count after
+``initialize_state`` and after each ``lfwa_step`` to ``core.drive``.
 """
 
 from __future__ import annotations
@@ -269,10 +269,13 @@ def initialize_state(objective: Objective, config: RunConfig, rng: RngStream) ->
 def lfwa_run(objective: Objective, config: RunConfig) -> RunRecord:
     """Run the optimizer for the configured number of generations."""
 
-    def generations(rng: RngStream):
+    def generations(rngs: list[RngStream]):
+        (rng,) = rngs
+        # lfwa_step does not return its spark count; the objective counts
+        start = objective.eval_count
         state = initialize_state(objective, config, rng)
         while True:
-            yield state.best_position, state.best_fitness
+            yield [state.best_position], [state.best_fitness], [objective.eval_count - start]
             state = lfwa_step(state, objective, config, rng)
 
-    return drive("lfwa", objective, config, generations)
+    return drive("lfwa", objective, config, generations)[0]

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -201,19 +201,24 @@ def record_bytes(record):
 
 
 def lockstep_configs(draw, **fields):
-    """A function and RunConfigs with ``fields``, 0..12 iterations and 2..5
-    seeds, not necessarily consecutive or distinct."""
+    """A function, a RunConfig with ``fields``, 0..12 iterations and a base
+    seed, and a run count of 1..5."""
     function = draw(st.sampled_from(objective_names()))
     iterations = draw(st.integers(0, 12))
-    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=5))
-    return function, [RunConfig(max_iterations=iterations, seed=s, **fields) for s in seeds]
+    config = RunConfig(max_iterations=iterations, seed=draw(st.integers(0, 2**32 - 1)), **fields)
+    return function, config, draw(st.integers(1, 5))
+
+
+def one_run_per_seed(run, function, params, config, runs):
+    """``run`` once per seed of a lockstep call, each on its own objective."""
+    return [run(make_objective(function), params, replace(config, seed=config.seed + r))
+            for r in range(runs)]
 
 
 @st.composite
 def lockstep_cases(draw):
     """BaParams with 2..8 bats (constant loudness and a single frequency
-    included), a function, 0..12 iterations and 2..5 seeds, not necessarily
-    consecutive or distinct."""
+    included), a function, 0..12 iterations, a base seed and 1..5 runs."""
     f_min = draw(st.floats(0.0, 2.0))
     params = BaParams(
         population=draw(st.integers(2, 8)),
@@ -231,25 +236,18 @@ def lockstep_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=lockstep_cases())
 def test_ba_runs_equal_ba_run_per_seed_bit_for_bit(case):
-    params, function, configs = case
+    params, function, config, runs = case
     objective = make_objective(function)
-    records = ba_runs(objective, params, configs)
-    alone = [ba_run(make_objective(function), params, config) for config in configs]
+    records = ba_runs(objective, params, config, runs)
+    alone = one_run_per_seed(ba_run, function, params, config, runs)
     assert [record_bytes(r) for r in records] == [record_bytes(r) for r in alone]
-    assert objective.eval_count == len(configs) * records[0].evaluations_used
-
-
-def test_ba_runs_take_configs_that_differ_only_in_the_seed():
-    with pytest.raises(ValueError, match="differ only in the seed"):
-        ba_runs(make_objective("f7"), BaParams(), [SHORT, RunConfig(max_iterations=5, seed=1)])
-    with pytest.raises(ValueError, match="at least one run configuration"):
-        ba_runs(make_objective("f7"), BaParams(), [])
+    assert objective.eval_count == runs * records[0].evaluations_used
 
 
 @st.composite
 def fwa_lockstep_cases(draw):
     """FwaParams with a budget of 2..20 sparks and 1..4 mutants, 2..10
-    fireworks, a function, 0..12 iterations and 2..5 seeds."""
+    fireworks, a function, 0..12 iterations, a base seed and 1..5 runs."""
     params = FwaParams(
         total_spark_budget=draw(st.integers(2, 20)),
         intensity_min_fraction=draw(st.floats(0.01, 0.4)),
@@ -263,7 +261,7 @@ def fwa_lockstep_cases(draw):
 @st.composite
 def spso_lockstep_cases(draw):
     """SpsoParams with 2..8 particles (no velocity, and inertia constant,
-    included), a function, 0..12 iterations and 2..5 seeds."""
+    included), a function, 0..12 iterations, a base seed and 1..5 runs."""
     inertia_end = draw(st.floats(0.0, 1.0))
     params = SpsoParams(
         swarm_size=draw(st.integers(2, 8)),
@@ -276,25 +274,29 @@ def spso_lockstep_cases(draw):
     return params, *lockstep_configs(draw)
 
 
-@pytest.mark.parametrize("runs,run,cases", [
+@pytest.mark.parametrize("run_many,run,cases", [
     (fwa_runs, fwa_run, fwa_lockstep_cases()),
     (spso_runs, spso_run, spso_lockstep_cases()),
 ], ids=["fwa", "spso"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_fwa_and_spso_runs_equal_the_single_run_per_seed_bit_for_bit(runs, run, cases, data):
-    params, function, configs = data.draw(cases)
+def test_fwa_and_spso_runs_equal_the_single_run_per_seed_bit_for_bit(run_many, run, cases, data):
+    params, function, config, runs = data.draw(cases)
     objective = make_objective(function)
-    records = runs(objective, params, configs)
-    alone = [run(make_objective(function), params, config) for config in configs]
+    records = run_many(objective, params, config, runs)
+    alone = one_run_per_seed(run, function, params, config, runs)
     assert [record_bytes(r) for r in records] == [record_bytes(r) for r in alone]
     assert objective.eval_count == sum(r.evaluations_used for r in records)
 
 
-@pytest.mark.parametrize("runs,params", [(fwa_runs, FwaParams()), (spso_runs, SpsoParams())],
-                         ids=["fwa", "spso"])
-def test_fwa_and_spso_runs_take_configs_that_differ_only_in_the_seed(runs, params):
-    with pytest.raises(ValueError, match="differ only in the seed"):
-        runs(make_objective("f7"), params, [SHORT, RunConfig(max_iterations=5, seed=1)])
-    with pytest.raises(ValueError, match="at least one run configuration"):
-        runs(make_objective("f7"), params, [])
+@pytest.mark.parametrize("run_many,params", [
+    (fwa_runs, FwaParams()), (spso_runs, SpsoParams()), (ba_runs, BaParams()),
+], ids=["fwa", "spso", "ba"])
+@pytest.mark.parametrize("runs,message", [
+    (0, "runs must be at least 1, got 0"),
+    (-1, "runs must be at least 1, got -1"),
+    (2.5, "runs must be an integer, got 2.5"),
+])
+def test_lockstep_runs_take_a_run_count_of_at_least_one(run_many, params, runs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_many(make_objective("f7"), params, SHORT, runs)

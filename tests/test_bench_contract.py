@@ -96,9 +96,9 @@ def test_compare_reaches_execute_run_once_per_chunk_cell_by_cell(
     calls = []
     execute_run = harness._execute_run
 
-    def counting_run(algorithm, function, configs, params):
-        calls.append((algorithm, function, [c.seed for c in configs]))
-        return execute_run(algorithm, function, configs, params)
+    def counting_run(algorithm, function, config, runs, params):
+        calls.append((algorithm, function, [config.seed + r for r in range(runs)]))
+        return execute_run(algorithm, function, config, runs, params)
 
     monkeypatch.setattr(harness, "_execute_run", counting_run)
     monkeypatch.chdir(tmp_path)

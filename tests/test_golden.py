@@ -19,7 +19,9 @@ tables are checked:
 
 The FWA, SPSO and BA cases are also run through ``fwa_runs``,
 ``spso_runs`` and ``ba_runs``, the lockstep forms that ``compare`` uses,
-one batch of seeds per function and variant.
+one batch of seeds per function and variant: the first seed's config and a
+run count, which holds because ``TABLE_SEEDS`` and ``BENCH_SEEDS`` are
+consecutive.
 
 A change that reorders or merges random draws in a way that moves any value
 fails here by name. Regenerate the committed tables only for a change meant
@@ -185,19 +187,21 @@ def lockstep_batches(*algorithms: str) -> dict[str, list[str]]:
 
 def check_lockstep_batch_against_table(prefix: str) -> None:
     names = lockstep_batches(prefix.split("/")[0])[prefix]
-    algorithm, function, _, params = baseline_cases()[names[0]]
-    configs = [RunConfig(**baseline_cases()[name][2]) for name in names]
+    algorithm, function, config, params = baseline_cases()[names[0]]
     params = BASELINES[algorithm][1](**params)
-    records = LOCKSTEP_RUNS[algorithm](make_objective(function), params, configs)
+    records = LOCKSTEP_RUNS[algorithm](make_objective(function), params, RunConfig(**config),
+                                       len(names))
     table = load_json(BASELINES_TABLE_PATH)
+    assert [r.seed for r in records] == [baseline_cases()[name][2]["seed"] for name in names]
     assert [run_digest(r) for r in records] == [table[name] for name in names]
 
 
 def check_lockstep_batch_against_bench_golden(algorithm: str, function: str) -> None:
-    configs = [RunConfig(seed=seed) for seed in BENCH_SEEDS]
     params = BASELINES[algorithm][1]()
-    records = LOCKSTEP_RUNS[algorithm](make_objective(function), params, configs)
+    records = LOCKSTEP_RUNS[algorithm](make_objective(function), params,
+                                       RunConfig(seed=BENCH_SEEDS[0]), len(BENCH_SEEDS))
     serial = load_json(BENCH_GOLDEN_PATH)["serial"]
+    assert [r.seed for r in records] == list(BENCH_SEEDS)
     assert [run_digest(r) for r in records] == [serial[f"{algorithm}/{function}/{seed}"]
                                                 for seed in BENCH_SEEDS]
 

@@ -266,6 +266,11 @@ def test_run_grid_checks_every_cell_before_any_run(monkeypatch):
         run_experiment("ba", "f7", 2, RunConfig(max_iterations=2), jobs=0)
     with pytest.raises(ValueError, match="^jobs must be at least 1, got -2$"):
         run_grid(GRID_CELLS, 2, FAST, jobs=-2)
+    for value in (2.5, "2", None):
+        with pytest.raises(ValueError, match=f"^runs must be an integer, got {value!r}$"):
+            run_grid(GRID_CELLS, value, FAST, jobs=2)
+        with pytest.raises(ValueError, match=f"^jobs must be an integer, got {value!r}$"):
+            run_grid(GRID_CELLS, 2, FAST, jobs=value)
 
 
 def test_failed_run_inside_a_sequential_chunk_names_its_seed(inline_pool, monkeypatch):
@@ -321,9 +326,9 @@ def test_ba_chunks_run_in_lockstep_unless_they_hold_one_seed(
         seen.append(("run", [config.seed]))
         return entry.run(objective, params, config)
 
-    def counting_run_many(objective, params, configs):
-        seen.append(("run_many", [c.seed for c in configs]))
-        return entry.run_many(objective, params, configs)
+    def counting_run_many(objective, params, config, runs):
+        seen.append(("run_many", [config.seed + r for r in range(runs)]))
+        return entry.run_many(objective, params, config, runs)
 
     monkeypatch.setitem(
         harness.ALGORITHMS, algorithm, replace(entry, run=counting_run, run_many=counting_run_many)

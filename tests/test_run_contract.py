@@ -5,7 +5,8 @@ has one best-so-far value after initialization and one per generation, and
 never rises; its last value is the final best's fitness, which re-evaluates
 to itself and lies in the box; the evaluations used are exactly what the
 objective counted; and a repeated seed repeats every bit. At 0 iterations
-only the initial population is evaluated, which pins that ``core.drive`` never
+only the initial population is evaluated, by the single-run forms and by
+each run of the lockstep forms, which pins that ``core.drive`` never
 resumes an algorithm after the last generation it asked for.
 """
 
@@ -60,3 +61,11 @@ def test_zero_iterations_evaluate_exactly_the_initial_populations():
     config = RunConfig(max_iterations=0, seed=4)
     used = {name: _run(name, "f7", config)[2] for name in ALGORITHMS}
     assert used == {"lfwa": 5, "fwa": 5, "spso": 30, "ba": 30}
+    # the lockstep forms: each record counts its own population, the
+    # objective both
+    for name, entry in ALGORITHMS.items():
+        if entry.run_many is not None:
+            objective = make_objective("f7")
+            records = entry.run_many(objective, entry.params(), config, 2)
+            assert [r.evaluations_used for r in records] == [used[name]] * 2
+            assert objective.eval_count == 2 * used[name]
