@@ -1,6 +1,6 @@
 """Fireworks-style global optimization with a reproducible benchmark harness."""
 
-from .baselines import BaParams, FwaParams, SpsoParams, ba_run, ba_runs, fwa_run, spso_run
+from .baselines import BaParams, FwaParams, SpsoParams, ba_run, fwa_run, spso_run
 from .benchmarks import Objective, ObjectiveLookupError, make_objective, objective_names
 from .core import (
     EvaluationError,

@@ -15,9 +15,12 @@ cell's seeds, one chunk per worker, given as its first seed's config and a
 run count; its runs share one objective, since every run form counts its own
 evaluations. FWA, SPSO and BA have lockstep forms (``fwa_runs``,
 ``spso_runs``, ``ba_runs``) that run a chunk's replications together,
-sharing every array call, each record bit for bit the single run's; a
-one-seed chunk takes the single-run form, which costs less at one seed.
-LFWA, bound by per-run scalar draws, runs a chunk's seeds one after another.
+sharing every array call, and give each seed its one-run record bit for
+bit. A one-seed chunk takes the single-run form. For SPSO that is the
+lockstep form's chunk of one, SPSO's only body; FWA and BA keep a body of
+their own for one seed, where their lockstep forms cost about 1.14 and 2.2
+times as much. LFWA, bound by per-run scalar draws, runs a chunk's seeds
+one after another.
 """
 
 from __future__ import annotations
@@ -123,8 +126,9 @@ class Algorithm:
     config, runs)``, when set, performs ``runs`` runs with seeds
     ``config.seed + r`` in lockstep and returns the records ``run`` would,
     in seed order, evaluation counts included; an ``EvaluationError`` it
-    raises names its run's index ``r`` as ``row``. ``run`` stays the form
-    for one seed, where it is the cheaper of the two.
+    raises names its run's index ``r`` as ``row``. ``run`` is the form for
+    one seed: ``run_many``'s chunk of one for SPSO, and for FWA and BA a
+    body of its own, the cheaper of the two at one seed.
     """
 
     run: Callable[..., RunRecord]

@@ -280,7 +280,10 @@ def spso_lockstep_cases(draw):
 ], ids=["fwa", "spso"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_fwa_and_spso_runs_equal_the_single_run_per_seed_bit_for_bit(run_many, run, cases, data):
+def test_fwa_and_spso_chunks_give_each_seed_its_one_run_record(run_many, run, cases, data):
+    # Each seed of a chunk of 1..5 runs, wherever it sits in the chunk, gets
+    # the record of its one-run form, bit for bit: fwa_run's own body, and
+    # for SPSO the chunk of one seed, as spso_run is spso_runs(..., 1)[0].
     params, function, config, runs = data.draw(cases)
     objective = make_objective(function)
     records = run_many(objective, params, config, runs)

@@ -21,7 +21,9 @@ The FWA, SPSO and BA cases are also run through ``fwa_runs``,
 ``spso_runs`` and ``ba_runs``, the lockstep forms that ``compare`` uses,
 one batch of seeds per function and variant: the first seed's config and a
 run count, which holds because ``TABLE_SEEDS`` and ``BENCH_SEEDS`` are
-consecutive.
+consecutive. ``spso_run`` is ``spso_runs``' chunk of one seed, so SPSO's
+cases check its one body at one seed and at several; ``fwa_run`` and
+``ba_run`` keep bodies of their own, which the tables were made from.
 
 A change that reorders or merges random draws in a way that moves any value
 fails here by name. Regenerate the committed tables only for a change meant
