@@ -19,11 +19,11 @@ import numpy as np
 from .benchmarks import Objective
 from .core import (
     XI,
-    EvaluationError,
     RngStream,
     RunConfig,
     RunRecord,
     drive,
+    evaluate_runs,
     map_into_bounds,
     store_numbers,
 )
@@ -144,18 +144,6 @@ def _select_fireworks(cand_positions: np.ndarray, cand_fitness: np.ndarray, m: i
     return np.concatenate(([elite], picks))
 
 
-def _evaluate_runs(objective: Objective, positions: np.ndarray) -> np.ndarray:
-    """The (R, n) fitness of R lockstep runs' (R, n, d) positions from one
-    ``evaluate_many``. An ``EvaluationError`` it raises has ``row`` set to
-    the index of its run."""
-    runs, n, d = positions.shape
-    try:
-        return objective.evaluate_many(positions.reshape(-1, d)).reshape(runs, n)
-    except EvaluationError as exc:
-        exc.row //= n
-        raise
-
-
 def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRecord:
     """Classic fireworks algorithm: budgeted spark counts with clamping,
     fitness-proportional amplitudes, shared-displacement explosion sparks,
@@ -255,7 +243,7 @@ def fwa_runs(objective: Objective, params: FwaParams, config: RunConfig,
     def generations(rngs: list[RngStream]):
         runs = np.arange(len(rngs))
         positions = np.stack([space.sample(rng, m) for rng in rngs])
-        fitness = _evaluate_runs(objective, positions)
+        fitness = evaluate_runs(objective, positions)
         best = fitness.argmin(axis=1)
         best_positions = positions[runs, best]
         best_fitness = fitness[runs, best]
@@ -304,11 +292,7 @@ def fwa_runs(objective: Objective, params: FwaParams, config: RunConfig,
             row_runs = runs.repeat(totals + g)
             new_positions = map_into_bounds(
                 np.concatenate((sparks, mutants))[order], space, rngs, row_runs)
-            try:
-                spark_fitness = objective.evaluate_many(new_positions)
-            except EvaluationError as exc:
-                exc.row = int(row_runs[exc.row])
-                raise
+            spark_fitness = evaluate_runs(objective, new_positions, row_runs)
             evaluations += totals + g
 
             bounds = [0, *np.add.accumulate(totals + g).tolist()]
@@ -362,7 +346,7 @@ def spso_runs(objective: Objective, params: SpsoParams, config: RunConfig,
     def generations(rngs: list[RngStream]):
         runs = np.arange(len(rngs))
         positions = np.stack([space.sample(rng, n) for rng in rngs])
-        fitness = _evaluate_runs(objective, positions)
+        fitness = evaluate_runs(objective, positions)
         velocities = np.zeros_like(positions)
         pbest_pos = positions.copy()
         pbest_fit = fitness.copy()
@@ -386,7 +370,7 @@ def spso_runs(objective: Objective, params: SpsoParams, config: RunConfig,
             # repairs are lower + u * width; x + v is -0.0 only for x = -0.0).
             velocities = np.minimum(np.maximum(velocities, v_min), v_max)
             positions = map_into_bounds(positions + velocities, space, rngs)
-            fitness = _evaluate_runs(objective, positions)
+            fitness = evaluate_runs(objective, positions)
 
             improved = fitness < pbest_fit
             np.copyto(pbest_pos, positions, where=improved[..., None])
@@ -490,7 +474,7 @@ def ba_runs(objective: Objective, params: BaParams, config: RunConfig,
         # Bat-major positions, velocities and fitness, so that bat i of every
         # run is one contiguous (R, d) block; run-major loudness, whose row
         # sums then match ba_run's.
-        fitness = _evaluate_runs(objective, samples).T.copy()
+        fitness = evaluate_runs(objective, samples).T.copy()
         positions = samples.transpose(1, 0, 2).copy()
         velocities = np.zeros_like(positions)
         loudness = np.full((len(rngs), n), params.loudness)

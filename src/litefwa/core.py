@@ -146,6 +146,20 @@ def map_into_bounds(positions, space: SearchSpace, rng: "RngStream", runs=None) 
     return positions
 
 
+def evaluate_runs(objective, positions: np.ndarray, runs=None) -> np.ndarray:
+    """The fitness of lockstep runs' positions from one ``evaluate_many``,
+    for the two layouts ``map_into_bounds`` takes: an (R, n, d) array whose
+    first axis is the run gives (R, n), and run-major (N, d) rows with
+    ``runs`` giving each row's run give (N,). An ``EvaluationError`` it
+    raises has ``row`` set to the index of its run."""
+    try:
+        values = objective.evaluate_many(positions.reshape(-1, positions.shape[-1]))
+    except EvaluationError as exc:
+        exc.row = exc.row // positions.shape[1] if runs is None else int(runs[exc.row])
+        raise
+    return values.reshape(positions.shape[:-1])
+
+
 @dataclass(frozen=True)
 class Individual:
     """A position vector with its cached objective value (minimization)."""

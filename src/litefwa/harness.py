@@ -13,14 +13,13 @@ process pool per call, and joins the results by position;
 ``run_experiment`` is its one-cell case. A task is one contiguous chunk of a
 cell's seeds, one chunk per worker, given as its first seed's config and a
 run count; its runs share one objective, since every run form counts its own
-evaluations. FWA, SPSO and BA have lockstep forms (``fwa_runs``,
-``spso_runs``, ``ba_runs``) that run a chunk's replications together,
-sharing every array call, and give each seed its one-run record bit for
-bit. A one-seed chunk takes the single-run form. For SPSO that is the
-lockstep form's chunk of one, SPSO's only body; FWA and BA keep a body of
-their own for one seed, where their lockstep forms cost about 1.14 and 2.2
-times as much. LFWA, bound by per-run scalar draws, runs a chunk's seeds
-one after another.
+evaluations. Every algorithm has a lockstep form (``lfwa_runs``,
+``fwa_runs``, ``spso_runs``, ``ba_runs``) that runs a chunk's replications
+together, sharing every array call, and gives each seed its one-run record
+bit for bit; a chunk of more than one seed runs through it. A one-seed
+chunk takes the single-run form. For SPSO that is the lockstep form's chunk
+of one, SPSO's only body; LFWA, FWA and BA keep a body of their own for one
+seed, where their lockstep forms cost about 1.2, 1.14 and 2.2 times as much.
 """
 
 from __future__ import annotations
@@ -118,23 +117,23 @@ def summarize(finals, declared_optimum: float, tolerance: float) -> ExperimentSu
 class Algorithm:
     """One registry entry: what an algorithm's parameters and population are.
 
-    ``run(objective, params, config)`` performs one run. ``params_class`` is
-    None for an algorithm configured by ``RunConfig`` alone (LFWA), whose
-    LFWA-only ``RunConfig`` fields then enter provenance. ``population_field``
-    names the params field that sets the population, or is None when
-    ``RunConfig.population_size`` does. ``run_many(objective, params,
-    config, runs)``, when set, performs ``runs`` runs with seeds
-    ``config.seed + r`` in lockstep and returns the records ``run`` would,
-    in seed order, evaluation counts included; an ``EvaluationError`` it
-    raises names its run's index ``r`` as ``row``. ``run`` is the form for
-    one seed: ``run_many``'s chunk of one for SPSO, and for FWA and BA a
-    body of its own, the cheaper of the two at one seed.
+    ``run(objective, params, config)`` performs one run, and
+    ``run_many(objective, params, config, runs)`` performs ``runs`` runs with
+    seeds ``config.seed + r`` in lockstep and returns the records ``run``
+    would, in seed order, evaluation counts included; an ``EvaluationError``
+    it raises names its run's index ``r`` as ``row``. ``run`` is the form for
+    one seed: ``run_many``'s chunk of one for SPSO, and for LFWA, FWA and BA
+    a body of its own, the cheaper of the two at one seed. ``params_class``
+    is None for an algorithm configured by ``RunConfig`` alone (LFWA), whose
+    LFWA-only ``RunConfig`` fields then enter provenance.
+    ``population_field`` names the params field that sets the population, or
+    is None when ``RunConfig.population_size`` does.
     """
 
     run: Callable[..., RunRecord]
     params_class: type | None
     population_field: str | None
-    run_many: Callable[..., list[RunRecord]] | None = None
+    run_many: Callable[..., list[RunRecord]]
 
     def params(self, population: int | None = None):
         """Default parameters (None without a params class), with the
@@ -154,7 +153,8 @@ class Algorithm:
 
 
 ALGORITHMS = {
-    "lfwa": Algorithm(lambda objective, _, config: lfwa.lfwa_run(objective, config), None, None),
+    "lfwa": Algorithm(lambda objective, _, config: lfwa.lfwa_run(objective, config), None, None,
+                      lambda objective, _, config, runs: lfwa.lfwa_runs(objective, config, runs)),
     "fwa": Algorithm(baselines.fwa_run, baselines.FwaParams, None, baselines.fwa_runs),
     "spso": Algorithm(baselines.spso_run, baselines.SpsoParams, "swarm_size", baselines.spso_runs),
     "ba": Algorithm(baselines.ba_run, baselines.BaParams, "population", baselines.ba_runs),
@@ -165,22 +165,18 @@ def _execute_run(
     algorithm: str, objective_name: str, config: RunConfig, runs: int, params
 ) -> list[RunRecord]:
     """The records of one task, the ``runs`` seeds of one cell from
-    ``config.seed`` on, all on one objective: in lockstep through
-    ``run_many`` when the algorithm has one and the chunk holds more than
-    one seed, else one ``run`` per seed."""
+    ``config.seed`` on, all on one objective: one ``run`` for a one-seed
+    chunk, else ``run_many`` in lockstep."""
     entry = ALGORITHMS[algorithm]
     objective = make_objective(objective_name)
-    lockstep = entry.run_many is not None and runs > 1
-    records = []
     try:
-        if lockstep:
-            return entry.run_many(objective, params, config, runs)
-        for r in range(runs):
-            records.append(entry.run(objective, params, replace(config, seed=config.seed + r)))
-        return records
+        if runs == 1:
+            return [entry.run(objective, params, config)]
+        return entry.run_many(objective, params, config, runs)
     except Exception as exc:
-        if not lockstep:
-            failed = f"run on {objective_name} with seed {config.seed + len(records)}"
+        # a one-seed run's EvaluationError row indexes its batch, not a run
+        if runs == 1:
+            failed = f"run on {objective_name} with seed {config.seed}"
         elif isinstance(exc, EvaluationError) and exc.row is not None:
             failed = f"run on {objective_name} with seed {config.seed + exc.row}"
         else:

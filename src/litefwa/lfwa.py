@@ -39,6 +39,14 @@ unchanged from the per-firework implementation.
 
 ``lfwa_run`` yields the best-so-far and its evaluation count after
 ``initialize_state`` and after each ``lfwa_step`` to ``core.drive``.
+
+``lfwa_runs`` advances a chunk of seeds in lockstep, each run on its own
+stream with the draws above in the same order: per generation, run by run,
+its beta block (1) and then, mutant by mutant, the parent index, n, the
+swaps and the normal (2); then, from one shared repair, each run's repair
+betas (3); then, run by run, its selection shuffle (4). Since every stream
+is its own, each run sees ``lfwa_step``'s sequence, interleaved with the
+others' only in time.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import Objective
-from .core import XI, RngStream, RunConfig, RunRecord, drive, map_into_bounds
+from .core import XI, RngStream, RunConfig, RunRecord, drive, evaluate_runs, map_into_bounds
 
 __all__ = [
     "LfwaState",
@@ -62,6 +70,7 @@ __all__ = [
     "initialize_state",
     "lfwa_step",
     "lfwa_run",
+    "lfwa_runs",
 ]
 
 
@@ -279,3 +288,95 @@ def lfwa_run(objective: Objective, config: RunConfig) -> RunRecord:
             state = lfwa_step(state, objective, config, rng)
 
     return drive("lfwa", objective, config, generations)[0]
+
+
+def lfwa_runs(objective: Objective, config: RunConfig, runs: int) -> list[RunRecord]:
+    """``lfwa_run`` for ``runs`` seeds from ``config.seed`` on, one record per
+    seed, each bit for bit ``lfwa_run``'s.
+
+    The runs advance in lockstep as (R, M, d) fireworks and pbest, one
+    generation at a time. The intensities, their means and the radii come
+    from one computation for all runs, elementwise or reducing along one
+    run's M values. Each run draws from its own stream in ``lfwa_step``'s
+    order; all mutants are applied in one masked multiply, and the runs
+    share one bounds repair and one ``evaluate_many`` over run-major rows,
+    each run's explosion sparks followed by its mutants. Each run then
+    selects alone through ``select_next_generation``. An
+    ``EvaluationError`` raised here has ``row`` set to the index of its run.
+    ``lfwa_run`` keeps its own body, being the cheaper form at one seed.
+    """
+    m = config.population_size
+    g = config.gaussian_spark_count
+    d = objective.dim
+    space = objective.space
+
+    def generations(rngs: list[RngStream]):
+        runs = np.arange(len(rngs))
+        fireworks = np.stack([space.sample(rng, m) for rng in rngs])
+        fitness = evaluate_runs(objective, fireworks)
+        pbest, pbest_fitness = fireworks, fitness
+        best = fitness.argmin(axis=1)
+        best_positions, best_fitness = fireworks[runs, best], fitness[runs, best]
+        evaluations = np.full(len(rngs), m)
+
+        while True:
+            yield best_positions, best_fitness.tolist(), evaluations.tolist()
+            # explosion_intensity and average_intensity, each run's along its row
+            f_max = np.maximum.reduce(fitness, axis=1)[:, None]
+            f_min = np.minimum.reduce(fitness, axis=1)[:, None]
+            exponents = (f_max - fitness) / (f_max - f_min + XI)
+            counts = np.ceil(np.power(float(m), exponents)).astype(int)
+            totals = np.add.reduce(counts, axis=1)
+            core = pbest_fitness.argmin(axis=1)
+            core_positions = pbest[runs, core]
+            radii = explosion_radius(fireworks, pbest, core_positions[:, None], counts,
+                                     (totals / m)[:, None])
+
+            betas, parents, factors, scaled = [], [], [], []
+            for r, (rng, total) in enumerate(zip(rngs, totals.tolist())):
+                betas.append(rng.uniform(size=(total, d)))
+                for k in range(r * g, (r + 1) * g):
+                    parents.append(r * m + rng.integers(0, m))
+                    dims = _sample_without_replacement(d, rng.integers(1, d + 1), rng)
+                    scaled += [k * d + j for j in dims]
+                    factors.append(float(rng.normal()) + 1.0)
+
+            flat = fireworks.reshape(-1, d)
+            rows = np.arange(flat.shape[0]).repeat(counts.ravel())
+            explosion = flat[rows] + np.concatenate(betas) * radii.reshape(-1, d)[rows]
+            mutants = flat[parents]
+            mask = np.zeros(mutants.size, dtype=bool)
+            mask[scaled] = True
+            np.multiply(mutants, np.array(factors)[:, None], out=mutants,
+                        where=mask.reshape(mutants.shape))
+
+            # run-major rows: the repair draws each run's betas in that order
+            order = np.concatenate((runs.repeat(totals), runs.repeat(g))).argsort(kind="stable")
+            row_runs = runs.repeat(totals + g)
+            sparks = map_into_bounds(
+                np.concatenate((explosion, mutants))[order], space, rngs, row_runs)
+            values = evaluate_runs(objective, sparks, row_runs)
+            evaluations += totals + g
+
+            # lfwa_step's candidates, one contiguous block per run: its
+            # fireworks, pbest, core and sparks
+            cand_runs = np.concatenate((runs.repeat(m), runs.repeat(m), runs, row_runs))
+            order = cand_runs.argsort(kind="stable")
+            cand_fitness = np.concatenate(
+                (fitness.ravel(), pbest_fitness.ravel(), pbest_fitness[runs, core], values))[order]
+            starts = [0, *np.add.accumulate(2 * m + 1 + totals + g).tolist()]
+            picks = np.concatenate([
+                select_next_generation(cand_fitness[start:stop], m, rng) + start
+                for rng, start, stop in zip(rngs, starts, starts[1:])])
+            cand_positions = np.concatenate((flat, pbest.reshape(-1, d), core_positions, sparks))
+            fireworks = cand_positions[order[picks]].reshape(-1, m, d)
+            fitness = cand_fitness[picks].reshape(-1, m)
+
+            improved = fitness < pbest_fitness
+            pbest = np.where(improved[..., None], fireworks, pbest)
+            pbest_fitness = np.where(improved, fitness, pbest_fitness)
+            better = fitness[:, 0] < best_fitness
+            np.copyto(best_positions, fireworks[:, 0], where=better[:, None])
+            np.copyto(best_fitness, fitness[:, 0], where=better)
+
+    return drive("lfwa", objective, config, generations, runs)

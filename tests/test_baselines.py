@@ -19,6 +19,7 @@ from litefwa.baselines import (
 )
 from litefwa.benchmarks import Objective, make_objective, objective_names
 from litefwa.core import RunConfig, SearchSpace
+from litefwa.harness import ALGORITHMS
 
 SHORT = RunConfig(max_iterations=30, seed=11)
 
@@ -274,16 +275,29 @@ def spso_lockstep_cases(draw):
     return params, *lockstep_configs(draw)
 
 
+@st.composite
+def lfwa_lockstep_cases(draw):
+    """No params, 2..8 fireworks and 1..6 mutants per generation (or the
+    default one per firework), a function, 0..12 iterations, a base seed and
+    1..5 runs. The 2-d f7 draws short shuffles as scalars, and the 30-d
+    functions draw long ones with an array ``low``."""
+    mutants = draw(st.one_of(st.none(), st.integers(1, 6)))
+    return None, *lockstep_configs(draw, population_size=draw(st.integers(2, 8)),
+                                   gaussian_sparks_per_generation=mutants)
+
+
 @pytest.mark.parametrize("run_many,run,cases", [
     (fwa_runs, fwa_run, fwa_lockstep_cases()),
     (spso_runs, spso_run, spso_lockstep_cases()),
-], ids=["fwa", "spso"])
+    (ALGORITHMS["lfwa"].run_many, ALGORITHMS["lfwa"].run, lfwa_lockstep_cases()),
+], ids=["fwa", "spso", "lfwa"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_fwa_and_spso_chunks_give_each_seed_its_one_run_record(run_many, run, cases, data):
     # Each seed of a chunk of 1..5 runs, wherever it sits in the chunk, gets
-    # the record of its one-run form, bit for bit: fwa_run's own body, and
-    # for SPSO the chunk of one seed, as spso_run is spso_runs(..., 1)[0].
+    # the record of its one-run form, bit for bit: fwa_run's and lfwa_run's
+    # own bodies (the registry's LFWA entries call lfwa_runs and lfwa_run),
+    # and for SPSO the chunk of one seed, as spso_run is spso_runs(..., 1)[0].
     params, function, config, runs = data.draw(cases)
     objective = make_objective(function)
     records = run_many(objective, params, config, runs)
@@ -294,7 +308,8 @@ def test_fwa_and_spso_chunks_give_each_seed_its_one_run_record(run_many, run, ca
 
 @pytest.mark.parametrize("run_many,params", [
     (fwa_runs, FwaParams()), (spso_runs, SpsoParams()), (ba_runs, BaParams()),
-], ids=["fwa", "spso", "ba"])
+    (ALGORITHMS["lfwa"].run_many, None),
+], ids=["fwa", "spso", "ba", "lfwa"])
 @pytest.mark.parametrize("runs,message", [
     (0, "runs must be at least 1, got 0"),
     (-1, "runs must be at least 1, got -1"),

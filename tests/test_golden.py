@@ -17,12 +17,13 @@ tables are checked:
   walk, and with two bats; FWA with a budget of 10 sparks; SPSO with 10
   particles).
 
-The FWA, SPSO and BA cases are also run through ``fwa_runs``,
-``spso_runs`` and ``ba_runs``, the lockstep forms that ``compare`` uses,
-one batch of seeds per function and variant: the first seed's config and a
-run count, which holds because ``TABLE_SEEDS`` and ``BENCH_SEEDS`` are
-consecutive. ``spso_run`` is ``spso_runs``' chunk of one seed, so SPSO's
-cases check its one body at one seed and at several; ``fwa_run`` and
+Every case is also run through its algorithm's lockstep form
+(``lfwa_runs``, ``fwa_runs``, ``spso_runs``, ``ba_runs``, as registered in
+``harness.ALGORITHMS``), the form that ``compare`` uses, one batch of seeds
+per function and variant: the first seed's config and a run count, which
+holds because ``TABLE_SEEDS`` and ``BENCH_SEEDS`` are consecutive.
+``spso_run`` is ``spso_runs``' chunk of one seed, so SPSO's cases check its
+one body at one seed and at several; ``lfwa_run``, ``fwa_run`` and
 ``ba_run`` keep bodies of their own, which the tables were made from.
 
 A change that reorders or merges random draws in a way that moves any value
@@ -41,20 +42,11 @@ import sys
 
 import pytest
 
-from litefwa.baselines import (
-    BaParams,
-    FwaParams,
-    SpsoParams,
-    ba_run,
-    ba_runs,
-    fwa_run,
-    fwa_runs,
-    spso_run,
-    spso_runs,
-)
+from litefwa.baselines import BaParams, FwaParams, SpsoParams, ba_run, fwa_run, spso_run
 from litefwa.benchmarks import make_objective, objective_names
 from litefwa.core import RunConfig
-from litefwa.lfwa import lfwa_run
+from litefwa.harness import ALGORITHMS
+from litefwa.lfwa import lfwa_run, lfwa_runs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 LFWA_TABLE_PATH = os.path.join(HERE, "golden_lfwa.json")
@@ -74,7 +66,6 @@ BASELINES = {
     "spso": (spso_run, SpsoParams),
     "ba": (ba_run, BaParams),
 }
-LOCKSTEP_RUNS = {"fwa": fwa_runs, "spso": spso_runs, "ba": ba_runs}
 # name -> parameter fields, each run on VARIANT_FUNCTIONS
 BASELINE_VARIANTS = {
     "ba/pulse0.9": {"pulse_rate": 0.9},
@@ -191,17 +182,17 @@ def check_lockstep_batch_against_table(prefix: str) -> None:
     names = lockstep_batches(prefix.split("/")[0])[prefix]
     algorithm, function, config, params = baseline_cases()[names[0]]
     params = BASELINES[algorithm][1](**params)
-    records = LOCKSTEP_RUNS[algorithm](make_objective(function), params, RunConfig(**config),
-                                       len(names))
+    records = ALGORITHMS[algorithm].run_many(make_objective(function), params,
+                                             RunConfig(**config), len(names))
     table = load_json(BASELINES_TABLE_PATH)
     assert [r.seed for r in records] == [baseline_cases()[name][2]["seed"] for name in names]
     assert [run_digest(r) for r in records] == [table[name] for name in names]
 
 
 def check_lockstep_batch_against_bench_golden(algorithm: str, function: str) -> None:
-    params = BASELINES[algorithm][1]()
-    records = LOCKSTEP_RUNS[algorithm](make_objective(function), params,
-                                       RunConfig(seed=BENCH_SEEDS[0]), len(BENCH_SEEDS))
+    entry = ALGORITHMS[algorithm]
+    records = entry.run_many(make_objective(function), entry.params(),
+                             RunConfig(seed=BENCH_SEEDS[0]), len(BENCH_SEEDS))
     serial = load_json(BENCH_GOLDEN_PATH)["serial"]
     assert [r.seed for r in records] == list(BENCH_SEEDS)
     assert [run_digest(r) for r in records] == [serial[f"{algorithm}/{function}/{seed}"]
@@ -227,6 +218,30 @@ def test_fwa_and_spso_lockstep_batches_match_committed_table(prefix):
 @pytest.mark.parametrize("function", BENCH_FUNCTIONS)
 def test_fwa_and_spso_lockstep_batches_match_bench_golden(algorithm, function):
     check_lockstep_batch_against_bench_golden(algorithm, function)
+
+
+def lfwa_lockstep_batches() -> dict[str, list[str]]:
+    """The LFWA table's cases grouped by function and variant: case-name
+    prefix -> case names in seed order."""
+    batches: dict[str, list[str]] = {}
+    for name in table_cases():
+        batches.setdefault(name.rsplit("/", 1)[0], []).append(name)
+    return batches
+
+
+@pytest.mark.parametrize("prefix", sorted(lfwa_lockstep_batches()))
+def test_lfwa_lockstep_batches_match_committed_table(prefix):
+    names = lfwa_lockstep_batches()[prefix]
+    function, fields = table_cases()[names[0]]
+    records = lfwa_runs(make_objective(function), RunConfig(**fields), len(names))
+    table = load_json(LFWA_TABLE_PATH)
+    assert [r.seed for r in records] == [table_cases()[name][1]["seed"] for name in names]
+    assert [run_digest(r) for r in records] == [table[name] for name in names]
+
+
+@pytest.mark.parametrize("function", BENCH_FUNCTIONS)
+def test_lfwa_lockstep_batch_matches_bench_golden(function):
+    check_lockstep_batch_against_bench_golden("lfwa", function)
 
 
 # FWA's crowding multiplies a Gram matrix through BLAS, the only BLAS call

@@ -9,7 +9,7 @@ import pytest
 
 from litefwa.baselines import BaParams, FwaParams, SpsoParams
 from litefwa.benchmarks import make_objective
-from litefwa.core import Individual, RunConfig, RunRecord
+from litefwa.core import EvaluationError, Individual, RunConfig, RunRecord
 from litefwa.harness import (
     ALGORITHMS,
     SUMMARY_COLUMNS,
@@ -273,9 +273,10 @@ def test_run_grid_checks_every_cell_before_any_run(monkeypatch):
             run_grid(GRID_CELLS, 2, FAST, jobs=value)
 
 
-def test_failed_run_inside_a_sequential_chunk_names_its_seed(inline_pool, monkeypatch):
-    # At jobs=2 the 4 seeds run as chunks [0, 1] and [2, 3]; seed 1 fails
-    # after seed 0 of its chunk has run.
+def test_failed_one_seed_chunk_names_its_seed_not_its_batch_row(inline_pool, monkeypatch):
+    # At jobs=2 the 2 seeds run as one-seed chunks [0] and [1]. Seed 1's run
+    # fails with an EvaluationError whose row, 3, indexes its own batch, not
+    # a run of the chunk: the message names seed 1, not seed 1 + 3.
     import litefwa.harness as harness
 
     seen, run = [], ALGORITHMS["lfwa"].run
@@ -283,14 +284,14 @@ def test_failed_run_inside_a_sequential_chunk_names_its_seed(inline_pool, monkey
     def lfwa_failing_at_seed_1(objective, params, config):
         seen.append(config.seed)
         if config.seed == 1:
-            raise ArithmeticError("boom")
+            raise EvaluationError("boom", np.zeros(2), row=3)
         return run(objective, params, config)
 
     monkeypatch.setitem(
         harness.ALGORITHMS, "lfwa", replace(ALGORITHMS["lfwa"], run=lfwa_failing_at_seed_1)
     )
     with pytest.raises(RuntimeError, match=r"^lfwa run on f1 with seed 1 failed: boom$"):
-        run_experiment("lfwa", "f1", 4, FAST, jobs=2)
+        run_experiment("lfwa", "f1", 2, FAST, jobs=2)
     assert seen == [0, 1]
 
 
@@ -300,7 +301,7 @@ CHUNK_CASES = {
     "jobs2": (3, 2, [("run", [0]), ("run_many", [1, 2])]),
     "jobs3": (5, 3, [("run", [0]), ("run_many", [1, 2]), ("run_many", [3, 4])]),
 }
-LOCKSTEP_ALGORITHMS = ("ba", "fwa", "spso")
+LOCKSTEP_ALGORITHMS = ("ba", "fwa", "spso", "lfwa")
 
 
 def lockstep_params(cases):
@@ -364,13 +365,14 @@ def nan_in_row(row):
 # One task runs seeds 10..13 together. Call 0 is the initial batch of 4 x 30
 # bats or particles, or 4 x 5 fireworks; a later call is one bat step or one
 # generation. A BA step holds one row per run and an SPSO generation 30;
-# an FWA generation holds each run's sparks and mutants, so its last row
-# belongs to the last run.
+# an FWA or LFWA generation holds each run's sparks and mutants, so its last
+# row belongs to the last run.
 NON_FINITE_CASES = {
     "ba": {"initial-batch": (0, 2 * 30 + 1, 12), "initial-batch-first-row": (0, 0, 10),
            "bat-step": (7, 3, 13), "bat-step-first-row": (7, 0, 10)},
     "fwa": {"initial-batch": (0, 2 * 5 + 1, 12), "generation-last-row": (3, -1, 13)},
     "spso": {"initial-batch": (0, 3 * 30 + 7, 13), "generation": (3, 30 + 4, 11)},
+    "lfwa": {"initial-batch": (0, 2 * 5 + 1, 12), "generation-last-row": (3, -1, 13)},
 }
 
 

@@ -64,8 +64,7 @@ def test_zero_iterations_evaluate_exactly_the_initial_populations():
     # the lockstep forms: each record counts its own population, the
     # objective both
     for name, entry in ALGORITHMS.items():
-        if entry.run_many is not None:
-            objective = make_objective("f7")
-            records = entry.run_many(objective, entry.params(), config, 2)
-            assert [r.evaluations_used for r in records] == [used[name]] * 2
-            assert objective.eval_count == 2 * used[name]
+        objective = make_objective("f7")
+        records = entry.run_many(objective, entry.params(), config, 2)
+        assert [r.evaluations_used for r in records] == [used[name]] * 2
+        assert objective.eval_count == 2 * used[name]
