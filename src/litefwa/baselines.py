@@ -153,85 +153,27 @@ def fwa_run(objective: Objective, params: FwaParams, config: RunConfig) -> RunRe
     Up to the repair, a generation draws in this order: each spark's
     dimension count, its dimension-subset uniforms, its offset, the mutant
     parents, each mutant's dimension count, its subset uniforms and its
-    normal factor. ``fwa_runs`` gives the same records for many seeds at
-    once, faster. This body stays for one seed, where ``fwa_runs`` costs
-    about 1.14 times as much.
+    normal factor. This is the one-seed case of ``fwa_runs``, FWA's one body.
     """
-    m = config.population_size
-    d = objective.dim
-    budget = params.total_spark_budget
-    low_clamp, high_clamp = params.spark_count_clamps
-    fireworks = np.arange(m)
-
-    # The generation calls ufuncs and array methods, not the numpy wrappers
-    # around them (np.sum, np.clip, np.round, np.argsort, np.vstack, ...),
-    # which run the same loops; fancy indexing already returns a copy.
-    def generations(rngs: list[RngStream]):
-        (rng,) = rngs
-        positions = objective.space.sample(rng, m)
-        fitness = objective.evaluate_many(positions)
-        best_idx = int(fitness.argmin())
-        best_position, best_fitness = positions[best_idx].copy(), float(fitness[best_idx])
-        evaluations = m
-
-        while True:
-            yield [best_position], [best_fitness], [evaluations]
-            f_max = np.maximum.reduce(fitness)
-            f_min = np.minimum.reduce(fitness)
-            raw_counts = budget * (f_max - fitness + XI) / (np.add.reduce(f_max - fitness) + XI)
-            counts = np.minimum(np.maximum(np.rint(raw_counts).astype(int), low_clamp), high_clamp)
-            amplitudes = (
-                params.max_amplitude * (fitness - f_min + XI) / (np.add.reduce(fitness - f_min) + XI)
-            )
-
-            # Explosion sparks, batched: each spark displaces a random subset
-            # of dimensions of its parent by one shared amplitude-scaled offset.
-            parents = fireworks.repeat(counts)
-            total = parents.size
-            sparks = positions[parents]
-            z = np.rint(d * rng.uniform(size=total)).astype(int)
-            masks = _random_dim_masks(rng.uniform(size=(total, d)), z)
-            offsets = amplitudes[parents] * (2.0 * rng.uniform(size=total) - 1.0)
-            sparks += masks * offsets[:, None]
-
-            g = params.gaussian_spark_count
-            mutants = positions[rng.integers(0, m, size=g)]
-            gz = np.rint(d * rng.uniform(size=g)).astype(int)
-            g_masks = _random_dim_masks(rng.uniform(size=(g, d)), gz)
-            factors = 1.0 + rng.normal(size=g)
-            mutants = np.where(g_masks, mutants * factors[:, None], mutants)
-
-            new_positions = map_into_bounds(np.concatenate((sparks, mutants)), objective.space, rng)
-            spark_fitness = objective.evaluate_many(new_positions)
-            evaluations += len(new_positions)
-            cand_positions = np.concatenate((positions, new_positions))
-            cand_fitness = np.concatenate((fitness, spark_fitness))
-
-            keep = _select_fireworks(cand_positions, cand_fitness, m, rng)
-            elite = keep[0]
-            if cand_fitness[elite] < best_fitness:
-                best_position = cand_positions[elite].copy()
-                best_fitness = float(cand_fitness[elite])
-            positions = cand_positions[keep]
-            fitness = cand_fitness[keep]
-
-    return drive("fwa", objective, config, generations)[0]
+    return fwa_runs(objective, params, config, 1)[0]
 
 
 def fwa_runs(objective: Objective, params: FwaParams, config: RunConfig,
              runs: int) -> list[RunRecord]:
     """``fwa_run`` for ``runs`` seeds from ``config.seed`` on, one record per
-    seed, each bit for bit ``fwa_run``'s.
+    seed; a seed's record does not depend on the other runs of the chunk or
+    on its place among them.
 
     The runs advance in lockstep, one generation at a time. Each run draws
     from its own stream in ``fwa_run``'s order, and every array operation is
     elementwise or reduces along one run's fireworks, sparks or candidates.
     The runs share one build of every run's sparks and mutants, one pass of
-    the subset masks, one bounds repair and one ``evaluate_many``; spark
-    counts differ by run, so those rows are ragged, run-major, each run's
-    sparks followed by its mutants. Each run then selects its next
-    fireworks alone, with ``fwa_run``'s crowding kernel. An
-    ``EvaluationError`` raised here has ``row`` set to the index of its run.
+    the subset masks, one bounds repair and one ``evaluate_many``. The rows
+    are built kind-major, every run's sparks and then every run's mutants,
+    and reordered once to run-major, each run's sparks followed by its
+    mutants, for the repair, whose betas each run draws in that order. Each
+    run then selects its next fireworks alone. An ``EvaluationError`` raised
+    here has ``row`` set to the index of its run.
     """
     d = objective.dim
     space = objective.space
@@ -239,72 +181,98 @@ def fwa_runs(objective: Objective, params: FwaParams, config: RunConfig,
     low_clamp, high_clamp = params.spark_count_clamps
     g = params.gaussian_spark_count
     m = config.population_size
+    scales = np.array([budget, params.max_amplitude])[:, None, None]
 
+    # The generation calls ufuncs and array methods, not the numpy wrappers
+    # around them (np.sum, np.clip, np.round, np.argsort, np.vstack, ...),
+    # which run the same loops; fancy indexing already returns a copy.
     def generations(rngs: list[RngStream]):
         runs = np.arange(len(rngs))
         positions = np.stack([space.sample(rng, m) for rng in rngs])
         fitness = evaluate_runs(objective, positions)
         best = fitness.argmin(axis=1)
         best_positions = positions[runs, best]
-        best_fitness = fitness[runs, best]
-        evaluations = np.full(len(rngs), m)
+        best_fitness = fitness[runs, best].tolist()
+        evaluations = [m] * len(rngs)
+        firework_rows = np.arange(fitness.size)
+        first_rows = firework_rows[::m].tolist()
+        mutants_end = len(rngs) * g
+        gaps = np.empty((2, *fitness.shape))
+        below_worst, above_best = gaps
+        flat_positions = positions.reshape(-1, d)
 
         while True:
-            yield best_positions, best_fitness.tolist(), evaluations.tolist()
-            # fwa_run's counts and amplitudes, each run's along its row
-            f_max = np.maximum.reduce(fitness, axis=1)[:, None]
-            f_min = np.minimum.reduce(fitness, axis=1)[:, None]
-            below_max_sums = np.add.reduce(f_max - fitness, axis=1)[:, None]
-            raw_counts = budget * (f_max - fitness + XI) / (below_max_sums + XI)
+            # drive keeps every step's fitness list, so each step yields a copy
+            yield best_positions, best_fitness[:], evaluations
+            # Each run's counts and amplitudes along its row, both at once:
+            # scale * (gap + XI) / (the gaps' sum + XI), where the gap is
+            # below the run's worst for a count and above its best for an
+            # amplitude.
+            worst = np.maximum.reduce(fitness, axis=1, keepdims=True)
+            np.subtract(worst, fitness, out=below_worst)
+            np.subtract(fitness, np.minimum.reduce(fitness, axis=1, keepdims=True), out=above_best)
+            gap_sums = np.add.reduce(gaps, axis=2, keepdims=True)
+            gap_sums += XI
+            raw_counts, amplitudes = (gaps + XI) * scales / gap_sums
             counts = np.minimum(np.maximum(np.rint(raw_counts).astype(int), low_clamp), high_clamp)
-            above_min_sums = np.add.reduce(fitness - f_min, axis=1)[:, None]
-            amplitudes = params.max_amplitude * (fitness - f_min + XI) / (above_min_sums + XI)
-            totals = np.add.reduce(counts, axis=1)
-            # fwa_run's seven draws, per run; the three spark draws, and the
-            # two mutant uniform draws, come as one block each
-            z, spark_uniforms, offsets, mutant_parents, gz, mutant_uniforms, normals = (
-                [] for _ in range(7))
-            for rng, total in zip(rngs, totals.tolist()):
+            totals = [sum(run_counts) for run_counts in counts.tolist()]
+            sparks_end = sum(totals)
+            rows_end = sparks_end + mutants_end
+
+            # Each run's draws: its three spark draws as one block, its
+            # mutant parents as scalar draws (the values and stream state of
+            # one sized draw), and its two mutant uniform draws as one block.
+            # The stretches are where its sparks and its mutants sit among
+            # the kind-major rows.
+            z, offsets, gz, normals, spark_uniforms, mutant_uniforms = [], [], [], [], [], []
+            mutant_parents, stretches = [], []
+            spark_start, mutant_start = 0, sparks_end
+            for rng, total, first in zip(rngs, totals, first_rows):
                 block = rng.uniform(size=total * (d + 2))
                 z.append(block[:total])
                 spark_uniforms.append(block[total:-total])
                 offsets.append(block[-total:])
-                mutant_parents.append(rng.integers(0, m, size=g))
+                mutant_parents += [rng.integers(first, first + m) for _ in range(g)]
                 block = rng.uniform(size=g * (d + 1))
                 gz.append(block[:g])
                 mutant_uniforms.append(block[g:])
                 normals.append(rng.normal(size=g))
+                stretches += (slice(spark_start, spark_start + total),
+                              slice(mutant_start, mutant_start + g))
+                spark_start += total
+                mutant_start += g
 
-            flat_positions = positions.reshape(-1, d)
-            parents = np.arange(counts.size).repeat(counts.ravel())
-            dims = np.rint(d * np.concatenate(z + gz)).astype(int)
-            uniforms = np.concatenate(spark_uniforms + mutant_uniforms).reshape(-1, d)
-            masks = _random_dim_masks(uniforms, dims)
-            sparks = flat_positions[parents]
-            offsets = amplitudes.ravel()[parents] * (2.0 * np.concatenate(offsets) - 1.0)
-            sparks += masks[: parents.size] * offsets[:, None]
-            mutants = flat_positions[runs.repeat(g) * m + np.concatenate(mutant_parents)]
-            factors = 1.0 + np.concatenate(normals)
-            mutants = np.where(masks[parents.size :], mutants * factors[:, None], mutants)
+            # Explosion sparks displace a random subset of their parent's
+            # dimensions by one shared amplitude-scaled offset; mutants scale
+            # a random subset by one normal factor.
+            parents = firework_rows.repeat(counts.ravel())
+            rows = flat_positions[np.concatenate((parents, mutant_parents))]
+            draws = np.concatenate(z + gz + offsets + normals + spark_uniforms + mutant_uniforms)
+            uniforms = draws[2 * rows_end:].reshape(-1, d)
+            masks = _random_dim_masks(uniforms, np.rint(d * draws[:rows_end]).astype(int))
+            sparks, mutants = rows[:sparks_end], rows[sparks_end:]
+            shifts = amplitudes.ravel()[parents] * (
+                2.0 * draws[rows_end:rows_end + sparks_end] - 1.0)
+            sparks += masks[:sparks_end] * shifts[:, None]
+            factors = 1.0 + draws[rows_end + sparks_end:2 * rows_end]
+            np.copyto(mutants, mutants * factors[:, None], where=masks[sparks_end:])
 
-            # run-major rows: the repair draws each run's betas in that order
-            order = np.concatenate((runs.repeat(totals), runs.repeat(g))).argsort(kind="stable")
-            row_runs = runs.repeat(totals + g)
+            row_runs = runs.repeat([total + g for total in totals])
             new_positions = map_into_bounds(
-                np.concatenate((sparks, mutants))[order], space, rngs, row_runs)
+                np.concatenate([rows[s] for s in stretches]), space, rngs, row_runs)
             spark_fitness = evaluate_runs(objective, new_positions, row_runs)
-            evaluations += totals + g
+            evaluations = [e + total + g for e, total in zip(evaluations, totals)]
 
-            bounds = [0, *np.add.accumulate(totals + g).tolist()]
-            for r, rng in enumerate(rngs):
-                rows = slice(bounds[r], bounds[r + 1])
-                cand_positions = np.concatenate((positions[r], new_positions[rows]))
-                cand_fitness = np.concatenate((fitness[r], spark_fitness[rows]))
+            stop = 0
+            for r, (rng, total) in enumerate(zip(rngs, totals)):
+                start, stop = stop, stop + total + g
+                cand_positions = np.concatenate((positions[r], new_positions[start:stop]))
+                cand_fitness = np.concatenate((fitness[r], spark_fitness[start:stop]))
                 keep = _select_fireworks(cand_positions, cand_fitness, m, rng)
                 elite = keep[0]
                 if cand_fitness[elite] < best_fitness[r]:
                     best_positions[r] = cand_positions[elite]
-                    best_fitness[r] = cand_fitness[elite]
+                    best_fitness[r] = float(cand_fitness[elite])
                 positions[r] = cand_positions[keep]
                 fitness[r] = cand_fitness[keep]
 

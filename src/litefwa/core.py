@@ -343,7 +343,10 @@ def drive(algorithm: str, objective, config: RunConfig, generations, runs: int =
     initialization and once after each generation. ``drive`` takes
     ``config.max_iterations + 1`` of them and never resumes the generator
     after the last: that would run one more generation of draws and
-    evaluations. Only the last step's positions and counts are kept.
+    evaluations. Only the last step's positions and counts are kept, but
+    every step's fitness sequence is kept as a row of the trajectories, so
+    a generator must yield a new one every step, never one it later
+    updates in place.
     """
     seeds = range(config.seed, config.seed + as_integer("runs", runs, least=1))
     steps = islice(generations([RngStream(seed) for seed in seeds]), config.max_iterations + 1)

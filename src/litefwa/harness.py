@@ -17,9 +17,10 @@ evaluations. Every algorithm has a lockstep form (``lfwa_runs``,
 ``fwa_runs``, ``spso_runs``, ``ba_runs``) that runs a chunk's replications
 together, sharing every array call, and gives each seed its one-run record
 bit for bit; a chunk of more than one seed runs through it. A one-seed
-chunk takes the single-run form. For SPSO that is the lockstep form's chunk
-of one, SPSO's only body; LFWA, FWA and BA keep a body of their own for one
-seed, where their lockstep forms cost about 1.2, 1.14 and 2.2 times as much.
+chunk takes the single-run form. For FWA and SPSO that is the lockstep
+form's chunk of one, their only body; LFWA and BA keep a body of their own
+for one seed, where their lockstep forms cost about 1.2 and 2.2 times as
+much.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ class Algorithm:
     seeds ``config.seed + r`` in lockstep and returns the records ``run``
     would, in seed order, evaluation counts included; an ``EvaluationError``
     it raises names its run's index ``r`` as ``row``. ``run`` is the form for
-    one seed: ``run_many``'s chunk of one for SPSO, and for LFWA, FWA and BA
-    a body of its own, the cheaper of the two at one seed. ``params_class``
+    one seed: ``run_many``'s chunk of one for FWA and SPSO, and for LFWA and
+    BA a body of its own, the cheaper of the two at one seed. ``params_class``
     is None for an algorithm configured by ``RunConfig`` alone (LFWA), whose
     LFWA-only ``RunConfig`` fields then enter provenance.
     ``population_field`` names the params field that sets the population, or

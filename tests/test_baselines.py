@@ -295,9 +295,11 @@ def lfwa_lockstep_cases(draw):
 @given(data=st.data())
 def test_fwa_and_spso_chunks_give_each_seed_its_one_run_record(run_many, run, cases, data):
     # Each seed of a chunk of 1..5 runs, wherever it sits in the chunk, gets
-    # the record of its one-run form, bit for bit: fwa_run's and lfwa_run's
-    # own bodies (the registry's LFWA entries call lfwa_runs and lfwa_run),
-    # and for SPSO the chunk of one seed, as spso_run is spso_runs(..., 1)[0].
+    # the record of its one-run form, bit for bit. For LFWA that is
+    # lfwa_run's own body (the registry's LFWA entries call lfwa_runs and
+    # lfwa_run). fwa_run and spso_run are their lockstep form's chunk of one
+    # seed, so for FWA and SPSO this is batch independence; the golden
+    # tables, made from the one-seed bodies they replaced, are their oracle.
     params, function, config, runs = data.draw(cases)
     objective = make_objective(function)
     records = run_many(objective, params, config, runs)

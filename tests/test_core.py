@@ -152,6 +152,8 @@ _INTEGER_RANGES = [1, 2, 30, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**40]
 _DRAWS = st.one_of(
     st.tuples(st.just("integers"), st.integers(-3, 7), st.sampled_from(_INTEGER_RANGES)),
     st.tuples(st.just("array"), st.integers(1, 12), st.sampled_from(_INTEGER_RANGES)),
+    st.tuples(st.just("sized"), st.integers(-3, 7), st.sampled_from(_INTEGER_RANGES),
+              st.integers(1, 12)),
     st.tuples(st.sampled_from(["uniform", "normal"])),
 )
 
@@ -160,7 +162,9 @@ _DRAWS = st.one_of(
 @given(seed=st.integers(0, 2**32 - 1), draws=st.lists(_DRAWS, min_size=1, max_size=40))
 def test_scalar_integer_fast_path_matches_numpy(seed, draws):
     # RngStream computes scalar integer draws itself from the bit generator's
-    # 32-bit output; a plain numpy Generator is the reference, draw by draw
+    # 32-bit output; a plain numpy Generator is the reference, draw by draw.
+    # "sized": k scalar draws give the values and the stream state of one
+    # draw of size k, which FWA's mutant parents rest on.
     rng, ref = RngStream(seed), np.random.Generator(np.random.PCG64(seed))
     for kind, *args in draws:
         if kind == "integers":
@@ -171,6 +175,10 @@ def test_scalar_integer_fast_path_matches_numpy(seed, draws):
             k, span = args
             low = np.arange(k)
             assert np.array_equal(rng.integers(low, k + span), ref.integers(low, k + span))
+        elif kind == "sized":
+            low, span, k = args
+            got = [rng.integers(low, low + span) for _ in range(k)]
+            assert got == ref.integers(low, low + span, size=k).tolist(), (low, span, k)
         elif kind == "uniform":
             assert rng.uniform() == ref.random()
         else:

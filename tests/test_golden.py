@@ -22,9 +22,11 @@ Every case is also run through its algorithm's lockstep form
 ``harness.ALGORITHMS``), the form that ``compare`` uses, one batch of seeds
 per function and variant: the first seed's config and a run count, which
 holds because ``TABLE_SEEDS`` and ``BENCH_SEEDS`` are consecutive.
-``spso_run`` is ``spso_runs``' chunk of one seed, so SPSO's cases check its
-one body at one seed and at several; ``lfwa_run``, ``fwa_run`` and
-``ba_run`` keep bodies of their own, which the tables were made from.
+``fwa_run`` and ``spso_run`` are ``fwa_runs``' and ``spso_runs``' chunks of
+one seed, so FWA's and SPSO's cases check each one body at one seed and at
+several, against tables made from the one-seed bodies they replaced;
+``lfwa_run`` and ``ba_run`` keep bodies of their own, which the tables were
+made from.
 
 A change that reorders or merges random draws in a way that moves any value
 fails here by name. Regenerate the committed tables only for a change meant
