@@ -129,8 +129,11 @@ def map_into_bounds(positions, space: SearchSpace, rng: "RngStream", runs=None) 
     run. Those rows must be run-major (``runs`` nondecreasing), and a run
     may own any number of them. Each run's betas come from its own stream,
     one block per run that violates, so every run gets the values a call on
-    its own rows and stream alone would give.
+    its own rows and stream alone would give. A list of one stream is
+    taken as that stream, whatever the layout.
     """
+    if isinstance(rng, list) and len(rng) == 1:
+        (rng,) = rng
     positions = np.array(positions, dtype=float)
     mask = (positions < space.lower) | (positions > space.upper)
     index = mask.nonzero()

@@ -19,7 +19,7 @@ together, sharing every array call, and gives each seed its one-run record
 bit for bit; a chunk of more than one seed runs through it. A one-seed
 chunk takes the single-run form. For FWA and SPSO that is the lockstep
 form's chunk of one, their only body; LFWA and BA keep a body of their own
-for one seed, where their lockstep forms cost about 1.2 and 2.2 times as
+for one seed, where their lockstep forms cost about 1.3 and 2.2 times as
 much.
 """
 

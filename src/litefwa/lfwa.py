@@ -11,7 +11,8 @@ of a preset maximum radius.
 
 The generation works on arrays: (M, d) positions and (M,) fitnesses for the
 fireworks and for the per-slot history, with candidates addressed by index.
-Its random draws, in order, are:
+Each operator is called once per generation, ``gaussian_mutation`` for all
+of the generation's mutants. Its random draws, in order, are:
 
   1. one uniform block for all displacement betas, shape (sum(s_i), d),
      fireworks in slot order;
@@ -42,7 +43,8 @@ unchanged from the per-firework implementation.
 
 ``lfwa_runs`` advances a chunk of seeds in lockstep, each run on its own
 stream with the draws above in the same order: per generation, run by run,
-its beta block (1) and then, mutant by mutant, the parent index, n, the
+its beta block (1); then, from one ``gaussian_mutation`` call given the
+list of streams, run by run and mutant by mutant, the parent index, n, the
 swaps and the normal (2); then, from one shared repair, each run's repair
 betas (3); then, run by run, its selection shuffle (4). Since every stream
 is its own, each run sees ``lfwa_step``'s sequence, interleaved with the
@@ -100,25 +102,35 @@ def explosion_intensity(fitnesses) -> np.ndarray:
     """Spark count per firework from its normalized fitness gap.
 
     Count i is ceil(M ** ((f_max - f_i) / (f_max - f_min + xi))), with M
-    the number of fireworks, ``len(fitnesses)``: the worst firework gets
+    the number of fireworks, the length of the last axis: the worst gets
     ceil(M**0) = 1 spark and the best approaches M. The ceiling keeps every
     count in [1, M], and xi, fixed at machine epsilon (``core.XI``), keeps
-    the exponent finite when all fitnesses coincide.
+    the exponent finite when all fitnesses coincide. A 2-d block, one row
+    of M fitnesses per run, gives one row of counts per run, each bit for
+    bit that row's own call.
     """
     fitnesses = np.asarray(fitnesses, dtype=float)
-    f_max = np.maximum.reduce(fitnesses)
-    f_min = np.minimum.reduce(fitnesses)
-    # a NaN propagates into both extrema, and an infinity is one of them
-    if not (math.isfinite(f_max) and math.isfinite(f_min)):
+    f_max = np.maximum.reduce(fitnesses, axis=-1)
+    f_min = np.minimum.reduce(fitnesses, axis=-1)
+    # a NaN propagates into both extrema, and an infinity is one of them;
+    # one row's extrema are scalars, which math.isfinite checks cheapest
+    if fitnesses.ndim == 1:
+        finite = math.isfinite(f_max) and math.isfinite(f_min)
+    else:
+        finite = np.isfinite(f_max).all() and np.isfinite(f_min).all()
+        f_max, f_min = f_max[..., None], f_min[..., None]
+    if not finite:
         raise ValueError("all fitnesses must be finite")
     exponents = (f_max - fitnesses) / (f_max - f_min + XI)
-    return np.ceil(np.power(float(fitnesses.size), exponents)).astype(int)
+    return np.ceil(np.power(float(fitnesses.shape[-1]), exponents)).astype(int)
 
 
-def average_intensity(spark_counts) -> float:
-    """Mean spark count, kept as a real number (no truncation)."""
+def average_intensity(spark_counts):
+    """Mean spark count, kept as a real number (no truncation); a 2-d
+    block of counts gives one mean per row as a 1-d array."""
     counts = np.asarray(spark_counts, dtype=float)
-    return float(np.add.reduce(counts) / counts.size)  # what np.mean computes
+    mean = np.add.reduce(counts, axis=-1) / counts.shape[-1]  # what np.mean computes
+    return mean if mean.ndim else float(mean)
 
 
 def explosion_radius(x, pbest, core, counts, s_avg: float) -> np.ndarray:
@@ -129,10 +141,9 @@ def explosion_radius(x, pbest, core, counts, s_avg: float) -> np.ndarray:
     and ``pbest`` pair with entries of ``counts``; one 1-d firework with a
     scalar count gives one 1-d radius.
     """
-    x = np.asarray(x, dtype=float)
     toward_pbest = (np.asarray(counts) < s_avg)[..., None]
-    return np.where(toward_pbest, np.asarray(pbest, dtype=float) - x,
-                    np.asarray(core, dtype=float) - x)
+    target = np.where(toward_pbest, np.asarray(pbest, dtype=float), np.asarray(core, dtype=float))
+    return target - np.asarray(x, dtype=float)
 
 
 def generate_explosion_sparks(x, radius, counts, rng: RngStream) -> np.ndarray:
@@ -144,11 +155,9 @@ def generate_explosion_sparks(x, radius, counts, rng: RngStream) -> np.ndarray:
     bounds handling happens later. ``x`` and ``radius`` are (M, d) arrays
     and ``counts`` holds M counts.
     """
-    x = np.asarray(x, dtype=float)
-    radius = np.asarray(radius, dtype=float)
-    rows = np.arange(len(x)).repeat(counts)
-    beta = rng.uniform(size=(rows.size, x.shape[1]))
-    return x[rows] + beta * radius[rows]
+    x = np.asarray(x, dtype=float).repeat(counts, axis=0)
+    beta = rng.uniform(size=x.shape)
+    return x + beta * np.asarray(radius, dtype=float).repeat(counts, axis=0)
 
 
 # Longest shuffle drawn as scalar calls. Through RngStream, with numpy 2.4
@@ -167,31 +176,55 @@ def _sample_without_replacement(n: int, k: int, rng: RngStream) -> list[int]:
     from one array-``low`` draw beyond; both give the same values and
     leave the same stream state.
     """
-    if k <= _SCALAR_SWAPS_MAX:
-        targets = [rng.integers(j, n) for j in range(k)]
-    else:
-        targets = rng.integers(np.arange(k), n).tolist()
     idx = list(range(n))
-    for j, s in enumerate(targets):
-        idx[j], idx[s] = idx[s], idx[j]
+    if k <= _SCALAR_SWAPS_MAX:
+        integers = rng.integers
+        for j in range(k):
+            s = integers(j, n)
+            idx[j], idx[s] = idx[s], idx[j]
+    else:
+        for j, s in enumerate(rng.integers(np.arange(k), n).tolist()):
+            idx[j], idx[s] = idx[s], idx[j]
     return idx[:k]
 
 
-def gaussian_mutation(x_i: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Multiplicative Gaussian mutant of a firework.
+def gaussian_mutation(fireworks, count: int, rng: RngStream | list[RngStream]) -> np.ndarray:
+    """``count`` multiplicative Gaussian mutants of random fireworks.
 
-    Picks n uniformly from {1..d}, then n distinct dimensions, and scales
-    the selected coordinates by one shared (N(0,1) + 1) factor, the
-    original fireworks-mutation convention; a single small factor can
+    Each mutant picks its parent uniformly among the M rows of the (M, d)
+    ``fireworks``, then n uniformly from {1..d}, then n distinct dimensions,
+    and scales the selected coordinates by one shared (N(0,1) + 1) factor,
+    the original fireworks-mutation convention; a single small factor can
     contract every selected coordinate at once. Zero coordinates are fixed
     points of this mutation; that is a documented property, not a bug.
+    The draws come mutant by mutant in that order; the mutants are then
+    built at once, from one gather of their parent rows and one multiply by
+    a scale that holds each mutant's factor on its selected coordinates and
+    1.0, which changes no value, elsewhere. They come back as a (count, d)
+    array.
+
+    ``rng`` may also be a list of R streams, with ``fireworks`` an (R, M, d)
+    block whose first axis is the run, as ``core.map_into_bounds`` takes
+    them: run r's ``count`` mutants draw from its own stream and pick their
+    parents among its own fireworks, and the result holds every run's
+    mutants in run order, (R * count, d).
     """
-    out = np.array(x_i, dtype=float)
-    d = out.size
-    n = rng.integers(1, d + 1)
-    dims = _sample_without_replacement(d, n, rng)
-    out[dims] *= float(rng.normal()) + 1.0
-    return out
+    fireworks = np.asarray(fireworks, dtype=float)
+    m, d = fireworks.shape[-2:]
+    streams = rng if isinstance(rng, list) else [rng]
+    parents, scale = [], [1.0] * (len(streams) * count * d)
+    for r, stream in enumerate(streams):
+        integers, normal = stream.integers, stream.normal
+        # k is the mutant's first entry in the flat scale
+        for k in range(r * count * d, (r + 1) * count * d, d):
+            parents.append(r * m + integers(0, m))
+            dims = _sample_without_replacement(d, integers(1, d + 1), stream)
+            factor = normal() + 1.0
+            for j in dims:
+                scale[k + j] = factor
+    mutants = fireworks.reshape(-1, d)[parents]
+    mutants *= np.array(scale).reshape(mutants.shape)
+    return mutants
 
 
 def select_next_generation(fitness, population_size: int, rng: RngStream) -> np.ndarray:
@@ -227,15 +260,9 @@ def lfwa_step(
     s_avg = average_intensity(counts)
     radii = explosion_radius(fireworks, pbest, pbest[core], counts, s_avg)
     raw_sparks = generate_explosion_sparks(fireworks, radii, counts, rng)
-
+    mutants = gaussian_mutation(fireworks, config.gaussian_spark_count, rng)
     # explosion sparks then Gaussian mutants, one row each
-    n_explosion = len(raw_sparks)
-    raw = np.empty((n_explosion + config.gaussian_spark_count, fireworks.shape[1]))
-    raw[:n_explosion] = raw_sparks
-    for row in range(n_explosion, len(raw)):
-        raw[row] = gaussian_mutation(fireworks[rng.integers(0, m)], rng)
-
-    sparks = map_into_bounds(raw, objective.space, rng)
+    sparks = map_into_bounds(np.concatenate((raw_sparks, mutants)), objective.space, rng)
     values = objective.evaluate_many(sparks)
 
     positions = np.concatenate((fireworks, pbest, pbest[core : core + 1], sparks))
@@ -245,6 +272,10 @@ def lfwa_step(
     new_fitness = fitness[selected]
 
     improved = new_fitness < pbest_fitness
+    # no state array is written in place, so an unchanged history is shared
+    if improved.any():
+        pbest = np.where(improved[:, None], new_fireworks, pbest)
+        pbest_fitness = np.where(improved, new_fitness, pbest_fitness)
     if new_fitness[0] < state.best_fitness:
         best_position, best_fitness = new_fireworks[0], float(new_fitness[0])
     else:
@@ -253,8 +284,8 @@ def lfwa_step(
     return LfwaState(
         fireworks=new_fireworks,
         fitness=new_fitness,
-        pbest=np.where(improved[:, None], new_fireworks, pbest),
-        pbest_fitness=np.where(improved, new_fitness, pbest_fitness),
+        pbest=pbest,
+        pbest_fitness=pbest_fitness,
         best_position=best_position,
         best_fitness=best_fitness,
     )
@@ -295,10 +326,11 @@ def lfwa_runs(objective: Objective, config: RunConfig, runs: int) -> list[RunRec
     seed, each bit for bit ``lfwa_run``'s.
 
     The runs advance in lockstep as (R, M, d) fireworks and pbest, one
-    generation at a time. The intensities, their means and the radii come
-    from one computation for all runs, elementwise or reducing along one
-    run's M values. Each run draws from its own stream in ``lfwa_step``'s
-    order; all mutants are applied in one masked multiply, and the runs
+    generation at a time. ``explosion_intensity``, ``average_intensity``
+    and ``explosion_radius`` each take all runs in one call, reducing
+    along one run's M values. Each run draws from its own stream in
+    ``lfwa_step``'s order; one ``gaussian_mutation`` call, given the list
+    of streams, makes every run's mutants with one multiply, and the runs
     share one bounds repair and one ``evaluate_many`` over run-major rows,
     each run's explosion sparks followed by its mutants. Each run then
     selects alone through ``select_next_generation``. An
@@ -321,34 +353,19 @@ def lfwa_runs(objective: Objective, config: RunConfig, runs: int) -> list[RunRec
 
         while True:
             yield best_positions, best_fitness.tolist(), evaluations.tolist()
-            # explosion_intensity and average_intensity, each run's along its row
-            f_max = np.maximum.reduce(fitness, axis=1)[:, None]
-            f_min = np.minimum.reduce(fitness, axis=1)[:, None]
-            exponents = (f_max - fitness) / (f_max - f_min + XI)
-            counts = np.ceil(np.power(float(m), exponents)).astype(int)
+            counts = explosion_intensity(fitness)
             totals = np.add.reduce(counts, axis=1)
             core = pbest_fitness.argmin(axis=1)
             core_positions = pbest[runs, core]
             radii = explosion_radius(fireworks, pbest, core_positions[:, None], counts,
-                                     (totals / m)[:, None])
+                                     average_intensity(counts)[:, None])
 
-            betas, parents, factors, scaled = [], [], [], []
-            for r, (rng, total) in enumerate(zip(rngs, totals.tolist())):
-                betas.append(rng.uniform(size=(total, d)))
-                for k in range(r * g, (r + 1) * g):
-                    parents.append(r * m + rng.integers(0, m))
-                    dims = _sample_without_replacement(d, rng.integers(1, d + 1), rng)
-                    scaled += [k * d + j for j in dims]
-                    factors.append(float(rng.normal()) + 1.0)
-
+            betas = np.concatenate([rng.uniform(size=(total, d))
+                                    for rng, total in zip(rngs, totals.tolist())])
             flat = fireworks.reshape(-1, d)
-            rows = np.arange(flat.shape[0]).repeat(counts.ravel())
-            explosion = flat[rows] + np.concatenate(betas) * radii.reshape(-1, d)[rows]
-            mutants = flat[parents]
-            mask = np.zeros(mutants.size, dtype=bool)
-            mask[scaled] = True
-            np.multiply(mutants, np.array(factors)[:, None], out=mutants,
-                        where=mask.reshape(mutants.shape))
+            explosion = (flat.repeat(counts.ravel(), axis=0)
+                         + betas * radii.reshape(-1, d).repeat(counts.ravel(), axis=0))
+            mutants = gaussian_mutation(fireworks, g, rngs)
 
             # run-major rows: the repair draws each run's betas in that order
             order = np.concatenate((runs.repeat(totals), runs.repeat(g))).argsort(kind="stable")

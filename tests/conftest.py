@@ -143,16 +143,21 @@ def traced_step(state, objective, config, rng):
     Returns the new state and a record of the generation read off the
     operators' arguments and results: ``spark_counts``, ``mean_intensity``,
     ``radii``, the raw and mapped explosion sparks, the Gaussian mutants'
-    input rows (``gaussian_inputs``), raw rows and mapped rows, and the
-    ``selected`` candidate indices. Every operator must be called once, and
-    ``gaussian_mutation`` once per mutant, so an operator the step stops
-    calling through the module fails here.
+    parent rows (``gaussian_inputs``), raw rows and mapped rows, and the
+    ``selected`` candidate indices. Every operator must be called once, so
+    an operator the step stops calling through the module fails here.
+    ``gaussian_mutation`` draws through a recording stream: each mutant's
+    draws open with its parent index, so the parents are the first integer
+    draw and every integer draw that follows a normal.
     """
     originals = {name: getattr(lfwa, name) for name in LFWA_OPERATORS}
     calls = {name: [] for name in LFWA_OPERATORS}
+    mutation_tape = RecordingRng(rng)
 
     def recording(name):
         def wrapper(*args):
+            if name == "gaussian_mutation":
+                args = (*args[:-1], mutation_tape)
             result = originals[name](*args)
             calls[name].append((args, result))
             return result
@@ -172,16 +177,20 @@ def traced_step(state, objective, config, rng):
     ((_, raw_sparks),) = calls["generate_explosion_sparks"]
     (((raw, _, _), mapped),) = calls["map_into_bounds"]
     ((_, selected),) = calls["select_next_generation"]
-    mutations = calls["gaussian_mutation"]
-    assert len(mutations) == config.gaussian_spark_count
+    (((fireworks, count, _), mutants),) = calls["gaussian_mutation"]
+    tape = [(kind, value) for kind, _, _, value in mutation_tape.tape]
+    parents = [value for i, (kind, value) in enumerate(tape)
+               if kind == "integers" and (i == 0 or tape[i - 1][0] == "normal")]
+    assert count == config.gaussian_spark_count == len(parents) == len(mutants)
     n = len(raw_sparks)
+    assert np.array_equal(raw[n:], mutants)
     return new_state, SimpleNamespace(
         spark_counts=counts,
         mean_intensity=mean_intensity,
         radii=radii,
         explosion_sparks_raw=raw_sparks,
         explosion_sparks_mapped=mapped[:n],
-        gaussian_inputs=np.array([args[0] for args, _ in mutations]),
+        gaussian_inputs=fireworks[parents],
         gaussian_sparks_raw=raw[n:],
         gaussian_sparks_mapped=mapped[n:],
         selected=selected,

@@ -55,9 +55,9 @@ def test_tracer_sees_every_layer_of_a_driven_run(tracer_module):
     calls = tracer.calls
     assert calls["lfwa.step"] == 5
     # per step on f7 at M = 5: two intensity calls (counts, then their mean),
-    # one radius, one sparks, one select, and one mutation per firework
+    # one radius, one sparks, one mutation for all mutants, and one select
     lfwa_layers = ("intensity", "radius", "sparks", "mutation", "select")
-    assert [calls[f"lfwa.{layer}"] for layer in lfwa_layers] == [10, 5, 5, 25, 5]
+    assert [calls[f"lfwa.{layer}"] for layer in lfwa_layers] == [10, 5, 5, 5, 5]
     assert [calls[f"baselines.{name}"] for name in ("fwa", "spso", "ba")] == [1, 1, 1]
     # one batch repair per generation for LFWA, FWA and SPSO; one per bat for BA
     assert calls["lfwa.repair"] == 5 + 5 + 5 + 30 * 5

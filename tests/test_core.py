@@ -262,6 +262,23 @@ def test_map_into_bounds_over_lockstep_runs_equals_one_call_per_run(case, seeds)
         assert [_state(rng) for rng in rngs] == [_state(rng) for rng in alone_rngs]
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=lockstep_repair_cases(), seed=st.integers(0, 2**32 - 1))
+def test_map_into_bounds_takes_a_list_of_one_stream_as_that_stream(case, seed):
+    # every case's rows as one run: run-major rows with ``runs``, the
+    # (1, n, d) block without, and the bare rows
+    space, _, rows = case
+    alone_rng = RngStream(seed)
+    alone = map_into_bounds(rows, space, alone_rng)
+    for positions, runs in ((rows, np.zeros(len(rows), dtype=int)), (rows[None], None),
+                            (rows, None)):
+        rngs = [RngStream(seed)]
+        mapped = map_into_bounds(positions, space, rngs, runs)
+        assert mapped.shape == positions.shape
+        assert np.array_equal(mapped.reshape(rows.shape), alone)
+        assert _state(rngs[0]) == _state(alone_rng)
+
+
 def test_rng_stream_copies_continue_the_stream_on_their_own():
     rng = RngStream(4)
     rng.integers(0, 7)  # leaves a buffered 32-bit half-word

@@ -99,6 +99,28 @@ def test_average_intensity():
     assert average_intensity([1, 2]) == 1.5
 
 
+def test_intensity_and_mean_of_a_block_equal_row_by_row_calls():
+    sampler = np.random.default_rng(5)
+    for _ in range(200):
+        runs, m = int(sampler.integers(1, 5)), int(sampler.integers(1, 10))
+        block = sampler.normal(size=(runs, m)) * 10.0 ** sampler.integers(-12, 12)
+        block[sampler.random(size=(runs, m)) < 0.3] = 1.5  # ties, and flat rows
+        counts = explosion_intensity(block)
+        rows = [explosion_intensity(row) for row in block]
+        assert counts.dtype == rows[0].dtype
+        assert np.array_equal(counts, np.stack(rows))
+        means = average_intensity(counts)
+        assert type(means) is np.ndarray and means.shape == (runs,)
+        assert means.tolist() == [average_intensity(row) for row in rows]  # bit for bit
+        assert type(average_intensity(rows[0])) is float
+
+
+def test_intensity_of_a_block_rejects_any_non_finite_row():
+    for bad in ([[1.0, 2.0], [np.nan, 1.0]], [[np.inf, 1.0]], [[1.0, 2.0], [3.0, -np.inf]]):
+        with pytest.raises(ValueError, match="all fitnesses must be finite"):
+            explosion_intensity(bad)
+
+
 # ------------------------------------------------------------------ radius
 
 
@@ -182,33 +204,35 @@ def test_sparks_batch_equals_consecutive_single_firework_calls():
 
 
 def test_mutation_zero_normal_draw_is_identity():
-    x = np.array([1.0, -2.0, 3.0])
-    out = gaussian_mutation(x, ConstantRng(normal_value=0.0, integer_value=1))
-    assert np.array_equal(out, x)
+    # the stub picks row 1 as every parent and draws a zero normal
+    fireworks = np.array([[1.0, -2.0, 3.0], [4.0, -5.0, 6.0], [7.0, 8.0, -9.0]])
+    out = gaussian_mutation(fireworks, 4, ConstantRng(normal_value=0.0, integer_value=1))
+    assert np.array_equal(out, fireworks[[1, 1, 1, 1]])
 
 
 def test_mutation_zero_coordinate_is_fixed_point():
-    x = np.array([0.0, 0.0, 0.0])
-    out = gaussian_mutation(x, RngStream(9))
-    assert np.array_equal(out, x)
+    fireworks = np.zeros((4, 3))
+    out = gaussian_mutation(fireworks, 6, RngStream(9))
+    assert np.array_equal(out, np.zeros((6, 3)))
 
 
 def test_mutation_changes_exactly_n_dimensions():
     # pin n = 2 via the stub stream; the shared factor is 1.7
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    out = gaussian_mutation(x, ConstantRng(normal_value=0.7, integer_value=2))
+    (out,) = gaussian_mutation(x[None], 1, ConstantRng(normal_value=0.7, integer_value=2))
     changed = np.flatnonzero(out != x)
     assert changed.size == 2
     assert np.allclose(out[changed], x[changed] * 1.7)
 
 
 def test_mutation_changed_count_matches_drawn_n_property():
+    fireworks = np.arange(1.0, 25.0).reshape(3, 8)
     for seed in range(50):
         recorder_rng = RngStream(seed)
-        x = np.arange(1.0, 9.0)
-        n = recorder_rng.integers(1, 9)  # peek at the first draw
-        out = gaussian_mutation(x, RngStream(seed))
-        assert np.count_nonzero(out != x) == n
+        parent = recorder_rng.integers(0, 3)  # peek at the first two draws
+        n = recorder_rng.integers(1, 9)
+        (out,) = gaussian_mutation(fireworks, 1, RngStream(seed))
+        assert np.count_nonzero(out != fireworks[parent]) == n
 
 
 def _state(rng):
@@ -236,6 +260,48 @@ def test_shuffle_is_the_same_on_both_sides_of_the_scalar_crossover(seed, k, extr
         expected.append(idx[:k])
     assert got == expected[0] == expected[1]
     assert _state(got_rng) == _state(scalar_rng) == _state(array_rng)
+
+
+def _mutants_one_by_one(fireworks, count, rng):
+    """Transcribed per-mutant formulation: a parent index, then that row's
+    own mutation (n, the n-swap shuffle, one normal) into a fresh row."""
+    rows = []
+    for _ in range(count):
+        row = np.array(fireworks[rng.integers(0, len(fireworks))], dtype=float)
+        dims = _sample_without_replacement(row.size, rng.integers(1, row.size + 1), rng)
+        row[dims] *= float(rng.normal()) + 1.0
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 10, 11, 30]),
+    count=st.integers(1, 8),
+    m=st.integers(2, 7),
+    runs=st.integers(1, 3),
+)
+def test_mutation_batch_equals_mutants_one_by_one_property(seed, d, count, m, runs):
+    # d = 10 and 11 put n on both sides of the scalar-shuffle crossover, and
+    # d = 1 makes the one swap a range-1 draw; some coordinates are zero
+    sampler = np.random.default_rng(seed)
+    fireworks = sampler.normal(size=(runs, m, d)) * sampler.integers(0, 2, size=(runs, m, d))
+    got_rngs = [RngStream(seed + r) for r in range(runs)]
+    expected_rngs = [RngStream(seed + r) for r in range(runs)]
+    expected = [_mutants_one_by_one(fireworks[r], count, expected_rngs[r]) for r in range(runs)]
+
+    # one stream and one (M, d) block per call, run by run
+    got = [gaussian_mutation(fireworks[r], count, got_rngs[r]) for r in range(runs)]
+    for r in range(runs):
+        assert got[r].shape == (count, d)
+        assert np.array_equal(got[r], expected[r])  # bit for bit
+        assert _state(got_rngs[r]) == _state(expected_rngs[r])
+
+    # a list of streams and the (R, M, d) block in one call
+    list_rngs = [RngStream(seed + r) for r in range(runs)]
+    assert np.array_equal(gaussian_mutation(fireworks, count, list_rngs), np.concatenate(expected))
+    assert [_state(rng) for rng in list_rngs] == [_state(rng) for rng in expected_rngs]
 
 
 # ----------------------------------------------------------------- mapping
