@@ -168,12 +168,11 @@ def fwa_runs(objective: Objective, params: FwaParams, config: RunConfig,
     from its own stream in ``fwa_run``'s order, and every array operation is
     elementwise or reduces along one run's fireworks, sparks or candidates.
     The runs share one build of every run's sparks and mutants, one pass of
-    the subset masks, one bounds repair and one ``evaluate_many``. The rows
-    are built kind-major, every run's sparks and then every run's mutants,
-    and reordered once to run-major, each run's sparks followed by its
-    mutants, for the repair, whose betas each run draws in that order. Each
-    run then selects its next fireworks alone. An ``EvaluationError`` raised
-    here has ``row`` set to the index of its run.
+    the subset masks, one bounds repair and one ``evaluate_many``, all over
+    the rows as built: every run's sparks, then every run's mutants. Each
+    run then selects its next fireworks alone from its fireworks, its
+    sparks and its mutants. An ``EvaluationError`` raised here has ``row``
+    set to the index of its run.
     """
     d = objective.dim
     space = objective.space
@@ -222,11 +221,8 @@ def fwa_runs(objective: Objective, params: FwaParams, config: RunConfig,
             # Each run's draws: its three spark draws as one block, its
             # mutant parents as scalar draws (the values and stream state of
             # one sized draw), and its two mutant uniform draws as one block.
-            # The stretches are where its sparks and its mutants sit among
-            # the kind-major rows.
             z, offsets, gz, normals, spark_uniforms, mutant_uniforms = [], [], [], [], [], []
-            mutant_parents, stretches = [], []
-            spark_start, mutant_start = 0, sparks_end
+            mutant_parents = []
             for rng, total, first in zip(rngs, totals, first_rows):
                 block = rng.uniform(size=total * (d + 2))
                 z.append(block[:total])
@@ -237,16 +233,13 @@ def fwa_runs(objective: Objective, params: FwaParams, config: RunConfig,
                 gz.append(block[:g])
                 mutant_uniforms.append(block[g:])
                 normals.append(rng.normal(size=g))
-                stretches += (slice(spark_start, spark_start + total),
-                              slice(mutant_start, mutant_start + g))
-                spark_start += total
-                mutant_start += g
 
             # Explosion sparks displace a random subset of their parent's
             # dimensions by one shared amplitude-scaled offset; mutants scale
             # a random subset by one normal factor.
             parents = firework_rows.repeat(counts.ravel())
-            rows = flat_positions[np.concatenate((parents, mutant_parents))]
+            sources = np.concatenate((parents, mutant_parents))
+            rows = flat_positions[sources]
             draws = np.concatenate(z + gz + offsets + normals + spark_uniforms + mutant_uniforms)
             uniforms = draws[2 * rows_end:].reshape(-1, d)
             masks = _random_dim_masks(uniforms, np.rint(d * draws[:rows_end]).astype(int))
@@ -257,17 +250,19 @@ def fwa_runs(objective: Objective, params: FwaParams, config: RunConfig,
             factors = 1.0 + draws[rows_end + sparks_end:2 * rows_end]
             np.copyto(mutants, mutants * factors[:, None], where=masks[sparks_end:])
 
-            row_runs = runs.repeat([total + g for total in totals])
-            new_positions = map_into_bounds(
-                np.concatenate([rows[s] for s in stretches]), space, rngs, row_runs)
+            row_runs = sources // m  # row r * m + i of flat_positions is run r's
+            new_positions = map_into_bounds(rows, space, rngs, row_runs)
             spark_fitness = evaluate_runs(objective, new_positions, row_runs)
             evaluations = [e + total + g for e, total in zip(evaluations, totals)]
 
             stop = 0
             for r, (rng, total) in enumerate(zip(rngs, totals)):
-                start, stop = stop, stop + total + g
-                cand_positions = np.concatenate((positions[r], new_positions[start:stop]))
-                cand_fitness = np.concatenate((fitness[r], spark_fitness[start:stop]))
+                start, stop = stop, stop + total
+                mutant_start = sparks_end + r * g
+                cand_positions = np.concatenate((positions[r], new_positions[start:stop],
+                                                 new_positions[mutant_start:mutant_start + g]))
+                cand_fitness = np.concatenate((fitness[r], spark_fitness[start:stop],
+                                               spark_fitness[mutant_start:mutant_start + g]))
                 keep = _select_fireworks(cand_positions, cand_fitness, m, rng)
                 elite = keep[0]
                 if cand_fitness[elite] < best_fitness[r]:

@@ -125,12 +125,11 @@ def map_into_bounds(positions, space: SearchSpace, rng: "RngStream", runs=None) 
 
     ``rng`` may also be a list of R streams, one per run of R runs advanced
     in lockstep. The positions are then an (R, d) or (R, n, d) array whose
-    first axis is the run, or (N, d) rows with ``runs`` giving each row's
-    run. Those rows must be run-major (``runs`` nondecreasing), and a run
-    may own any number of them. Each run's betas come from its own stream,
-    one block per run that violates, so every run gets the values a call on
-    its own rows and stream alone would give. A list of one stream is
-    taken as that stream, whatever the layout.
+    first axis is the run, or (N, d) rows in any order with ``runs`` giving
+    each row's run. Each run's betas come from its own stream, one block
+    per run that violates, in the order of its rows, so every run gets the
+    values a call on its own rows and stream alone would give. A list of
+    one stream is taken as that stream, whatever the layout.
     """
     if isinstance(rng, list) and len(rng) == 1:
         (rng,) = rng
@@ -143,6 +142,8 @@ def map_into_bounds(positions, space: SearchSpace, rng: "RngStream", runs=None) 
             owners = index[0] if runs is None else runs[index[0]]
             counts = np.bincount(owners, minlength=len(rng)).tolist()
             betas = np.concatenate([s.uniform(size=k) for s, k in zip(rng, counts) if k])
+            if runs is not None:  # each run's betas go to its coordinates in row order
+                betas[owners.argsort(kind="stable")] = betas.copy()
         else:
             betas = rng.uniform(size=cols.size)
         positions[mask] = space.lower[cols] + betas * space.width[cols]
@@ -152,7 +153,7 @@ def map_into_bounds(positions, space: SearchSpace, rng: "RngStream", runs=None) 
 def evaluate_runs(objective, positions: np.ndarray, runs=None) -> np.ndarray:
     """The fitness of lockstep runs' positions from one ``evaluate_many``,
     for the two layouts ``map_into_bounds`` takes: an (R, n, d) array whose
-    first axis is the run gives (R, n), and run-major (N, d) rows with
+    first axis is the run gives (R, n), and (N, d) rows in any order with
     ``runs`` giving each row's run give (N,). An ``EvaluationError`` it
     raises has ``row`` set to the index of its run."""
     try:
@@ -188,7 +189,8 @@ class RngStream:
 
     One kind of draw bypasses numpy's ``Generator.integers``, whose argument
     handling is most of a scalar call's cost: a single draw with Python-int
-    bounds ``0 <= low < high - 1 < 2**32 - 1``. It reads the bit generator's
+    bounds ``0 <= low < high <= 2**32 - 1``. A range of 1 returns ``low``
+    and draws nothing, as numpy does; a wider one reads the bit generator's
     32-bit output through ``bit_generator.ctypes.next_uint32`` and applies
     numpy's own rule for such a range, Lemire's multiply-and-reject (Lemire,
     "Fast Random Integer Generation in an Interval", ACM TOMACS 2019).
@@ -197,9 +199,8 @@ class RngStream:
     describes the stream. ``tests/test_core.py``'s
     ``test_scalar_integer_fast_path_matches_numpy`` pins the values and the
     final state to a plain numpy ``Generator``. Every other integer draw
-    goes through numpy: array bounds, ``size``, numpy-int bounds, a range of
-    1 (numpy draws nothing there), a negative ``low`` and a ``high`` of 2**32
-    or more.
+    goes through numpy: array bounds, ``size``, numpy-int bounds, a negative
+    ``low`` and a ``high`` of 2**32 or more.
     """
 
     def __init__(self, seed: int) -> None:
@@ -241,10 +242,12 @@ class RngStream:
         after another; scalar bounds without ``size`` give a Python int.
         """
         if (size is None and type(low) is int and type(high) is int
-                and 0 <= low < high - 1 < 0xFFFFFFFF):
+                and 0 <= low < high <= 0xFFFFFFFF):
             # numpy's bounded draw for a 32-bit range: the high word of a
             # 32x32-bit product, rejecting the low words below the threshold
             excl = high - low
+            if excl == 1:
+                return low
             m = self._next_uint32(self._bits_state) * excl
             if m & 0xFFFFFFFF < excl:
                 threshold = (0x100000000 - excl) % excl

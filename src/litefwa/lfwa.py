@@ -43,12 +43,11 @@ unchanged from the per-firework implementation.
 
 ``lfwa_runs`` advances a chunk of seeds in lockstep, each run on its own
 stream with the draws above in the same order: per generation, run by run,
-its beta block (1); then, from one ``gaussian_mutation`` call given the
-list of streams, run by run and mutant by mutant, the parent index, n, the
-swaps and the normal (2); then, from one shared repair, each run's repair
-betas (3); then, run by run, its selection shuffle (4). Since every stream
-is its own, each run sees ``lfwa_step``'s sequence, interleaved with the
-others' only in time.
+its beta block (1), then its mutants' draws (2), each from one operator
+call given the list of streams; then, from one shared repair of the rows
+as built, each run's repair betas (3); then, run by run, its selection
+shuffle (4). Since every stream is its own, each run sees ``lfwa_step``'s
+sequence, interleaved with the others' only in time.
 """
 
 from __future__ import annotations
@@ -146,18 +145,29 @@ def explosion_radius(x, pbest, core, counts, s_avg: float) -> np.ndarray:
     return target - np.asarray(x, dtype=float)
 
 
-def generate_explosion_sparks(x, radius, counts, rng: RngStream) -> np.ndarray:
+def generate_explosion_sparks(x, radius, counts, rng: RngStream | list[RngStream]) -> np.ndarray:
     """Displace each firework ``counts[i]`` times along its radius vector.
 
     Each spark is x_i + beta * radius_i with beta uniform in [0, 1), drawn
     independently per dimension, all in one draw. Sparks come back as one
     (sum(counts), d) array grouped by firework in row order, unmapped;
     bounds handling happens later. ``x`` and ``radius`` are (M, d) arrays
-    and ``counts`` holds M counts.
+    and ``counts`` holds M counts; given a list of R streams, as
+    ``gaussian_mutation`` takes them, they are (R, M, d) and (R, M), each
+    run draws its block from its own stream, and the runs' sparks follow
+    one another in run order.
     """
-    x = np.asarray(x, dtype=float).repeat(counts, axis=0)
-    beta = rng.uniform(size=x.shape)
-    return x + beta * np.asarray(radius, dtype=float).repeat(counts, axis=0)
+    x, radius = np.asarray(x, dtype=float), np.asarray(radius, dtype=float)
+    if isinstance(rng, list):
+        d = x.shape[-1]
+        totals = np.add.reduce(counts, axis=-1).tolist()
+        beta = np.concatenate([s.uniform(size=(total, d)) for s, total in zip(rng, totals)])
+        counts = np.ravel(counts)
+        x, radius = x.reshape(-1, d).repeat(counts, axis=0), radius.reshape(-1, d)
+    else:
+        x = x.repeat(counts, axis=0)
+        beta = rng.uniform(size=x.shape)
+    return x + beta * radius.repeat(counts, axis=0)
 
 
 # Longest shuffle drawn as scalar calls. Through RngStream, with numpy 2.4
@@ -326,14 +336,14 @@ def lfwa_runs(objective: Objective, config: RunConfig, runs: int) -> list[RunRec
     seed, each bit for bit ``lfwa_run``'s.
 
     The runs advance in lockstep as (R, M, d) fireworks and pbest, one
-    generation at a time. ``explosion_intensity``, ``average_intensity``
-    and ``explosion_radius`` each take all runs in one call, reducing
-    along one run's M values. Each run draws from its own stream in
-    ``lfwa_step``'s order; one ``gaussian_mutation`` call, given the list
-    of streams, makes every run's mutants with one multiply, and the runs
-    share one bounds repair and one ``evaluate_many`` over run-major rows,
-    each run's explosion sparks followed by its mutants. Each run then
-    selects alone through ``select_next_generation``. An
+    generation at a time, through ``lfwa_step``'s operators.
+    ``explosion_intensity``, ``average_intensity`` and ``explosion_radius``
+    reduce along one run's M values; ``generate_explosion_sparks`` and
+    ``gaussian_mutation``, given the list of streams, draw from each run's
+    own stream in ``lfwa_step``'s order. The runs share one bounds repair
+    and one ``evaluate_many`` over the rows as built, every run's explosion
+    sparks and then every run's mutants, and each run then selects alone
+    through ``select_next_generation``. An
     ``EvaluationError`` raised here has ``row`` set to the index of its run.
     ``lfwa_run`` keeps its own body, being the cheaper form at one seed.
     """
@@ -360,18 +370,10 @@ def lfwa_runs(objective: Objective, config: RunConfig, runs: int) -> list[RunRec
             radii = explosion_radius(fireworks, pbest, core_positions[:, None], counts,
                                      average_intensity(counts)[:, None])
 
-            betas = np.concatenate([rng.uniform(size=(total, d))
-                                    for rng, total in zip(rngs, totals.tolist())])
-            flat = fireworks.reshape(-1, d)
-            explosion = (flat.repeat(counts.ravel(), axis=0)
-                         + betas * radii.reshape(-1, d).repeat(counts.ravel(), axis=0))
+            explosion = generate_explosion_sparks(fireworks, radii, counts, rngs)
             mutants = gaussian_mutation(fireworks, g, rngs)
-
-            # run-major rows: the repair draws each run's betas in that order
-            order = np.concatenate((runs.repeat(totals), runs.repeat(g))).argsort(kind="stable")
-            row_runs = runs.repeat(totals + g)
-            sparks = map_into_bounds(
-                np.concatenate((explosion, mutants))[order], space, rngs, row_runs)
+            row_runs = np.concatenate((runs.repeat(totals), runs.repeat(g)))
+            sparks = map_into_bounds(np.concatenate((explosion, mutants)), space, rngs, row_runs)
             values = evaluate_runs(objective, sparks, row_runs)
             evaluations += totals + g
 
@@ -385,7 +387,8 @@ def lfwa_runs(objective: Objective, config: RunConfig, runs: int) -> list[RunRec
             picks = np.concatenate([
                 select_next_generation(cand_fitness[start:stop], m, rng) + start
                 for rng, start, stop in zip(rngs, starts, starts[1:])])
-            cand_positions = np.concatenate((flat, pbest.reshape(-1, d), core_positions, sparks))
+            cand_positions = np.concatenate(
+                (fireworks.reshape(-1, d), pbest.reshape(-1, d), core_positions, sparks))
             fireworks = cand_positions[order[picks]].reshape(-1, m, d)
             fitness = cand_fitness[picks].reshape(-1, m)
 

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import in_box
@@ -160,6 +160,8 @@ _DRAWS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), draws=st.lists(_DRAWS, min_size=1, max_size=40))
+# a range of 1 right after a draw that leaves a buffered 32-bit half-word
+@example(seed=4, draws=[("integers", 0, 7), ("integers", 3, 1), ("integers", 0, 30)])
 def test_scalar_integer_fast_path_matches_numpy(seed, draws):
     # RngStream computes scalar integer draws itself from the bit generator's
     # 32-bit output; a plain numpy Generator is the reference, draw by draw.
@@ -220,19 +222,19 @@ def test_stream_canary_pins_each_primitive_as_numpy_2_4_6_draws_it(primitive):
 
 
 @st.composite
-def lockstep_repair_cases(draw):
-    """A box, 1..4 runs' row counts (equal counts when ``ragged`` is False)
-    and their run-major rows, each coordinate below, inside, on the bounds
-    of or above the box, so some rows need no repair."""
+def lockstep_repair_cases(draw, max_runs=4, max_rows=5):
+    """A box, 1..``max_runs`` runs' row counts (ragged or all equal) and
+    their run-major rows, each coordinate below, inside, on the bounds of
+    or above the box, so some rows need no repair."""
     d = draw(st.integers(1, 4))
     lower = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=d, max_size=d)))
     width = np.array(draw(st.lists(st.floats(0.01, 100.0), min_size=d, max_size=d)))
     space = SearchSpace(lower, lower + width)
-    runs = draw(st.integers(1, 4))
+    runs = draw(st.integers(1, max_runs))
     if draw(st.booleans()):
-        counts = draw(st.lists(st.integers(0, 5), min_size=runs, max_size=runs))
+        counts = draw(st.lists(st.integers(0, max_rows), min_size=runs, max_size=runs))
     else:
-        counts = [draw(st.integers(1, 5))] * runs
+        counts = [draw(st.integers(1, max_rows))] * runs
     offsets = st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.5]) | st.floats(-1.0, 2.0)
     rows = np.array(draw(st.lists(offsets, min_size=sum(counts) * d, max_size=sum(counts) * d)))
     return space, counts, space.lower + rows.reshape(sum(counts), d) * space.width
@@ -260,6 +262,26 @@ def test_map_into_bounds_over_lockstep_runs_equals_one_call_per_run(case, seeds)
         assert mapped.shape == positions.shape
         assert np.array_equal(mapped.reshape(rows.shape), np.concatenate(alone))
         assert [_state(rng) for rng in rngs] == [_state(rng) for rng in alone_rngs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lockstep_repair_cases(max_runs=5, max_rows=6), data=st.data())
+def test_map_into_bounds_gives_each_run_its_betas_in_its_row_order_whatever_the_interleaving(
+        case, data):
+    # the run-major rows shuffled by a drawn permutation, against one call
+    # per run on its own rows, in their order there, and its own stream
+    space, counts, rows = case
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(counts),
+                               max_size=len(counts)))
+    order = np.array(data.draw(st.permutations(range(len(rows)))), dtype=int)
+    shuffled, labels = rows[order], np.arange(len(counts)).repeat(counts)[order]
+    alone_rngs = [RngStream(s) for s in seeds]
+    alone = np.empty_like(shuffled)
+    for r, rng in enumerate(alone_rngs):
+        alone[labels == r] = map_into_bounds(shuffled[labels == r], space, rng)
+    rngs = [RngStream(s) for s in seeds]
+    assert np.array_equal(map_into_bounds(shuffled, space, rngs, labels), alone)
+    assert [_state(rng) for rng in rngs] == [_state(rng) for rng in alone_rngs]
 
 
 @settings(max_examples=200, deadline=None)

@@ -200,6 +200,26 @@ def test_sparks_batch_equals_consecutive_single_firework_calls():
     assert np.array_equal(batch, np.concatenate(rows))  # grouped by firework, bit for bit
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 4), m=st.integers(1, 6),
+       d=st.integers(1, 4), data=st.data())
+def test_sparks_over_lockstep_runs_equal_one_call_per_run_property(seed, runs, m, d, data):
+    # a list of streams with (R, M, d) blocks against one call per run on
+    # its own (M, d) rows and stream, values and final stream states
+    sampler = np.random.default_rng(seed)
+    x, radius = sampler.normal(size=(2, runs, m, d))
+    counts = np.array(data.draw(st.lists(st.integers(1, m), min_size=runs * m,
+                                         max_size=runs * m))).reshape(runs, m)
+    alone_rngs = [RngStream(seed + r) for r in range(runs)]
+    alone = [generate_explosion_sparks(x[r], radius[r], counts[r], rng)
+             for r, rng in enumerate(alone_rngs)]
+    rngs = [RngStream(seed + r) for r in range(runs)]
+    sparks = generate_explosion_sparks(x, radius, counts, rngs)
+    assert sparks.shape == (counts.sum(), d)
+    assert np.array_equal(sparks, np.concatenate(alone))  # bit for bit
+    assert [_state(rng) for rng in rngs] == [_state(rng) for rng in alone_rngs]
+
+
 # ---------------------------------------------------------------- mutation
 
 
