@@ -134,7 +134,12 @@ def map_into_bounds(positions, space: SearchSpace, rng: "RngStream", runs=None) 
     if isinstance(rng, list) and len(rng) == 1:
         (rng,) = rng
     positions = np.array(positions, dtype=float)
-    mask = (positions < space.lower) | (positions > space.upper)
+    mask = positions < space.lower
+    mask |= positions > space.upper
+    # most batches need no repair, and nonzero over two or more axes costs
+    # several counts; one row's nonzero is cheaper than a count
+    if mask.ndim > 1 and not np.count_nonzero(mask):
+        return positions
     index = mask.nonzero()
     cols = index[-1]
     if cols.size:

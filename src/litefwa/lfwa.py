@@ -25,10 +25,10 @@ of the generation's mutants. Its random draws, in order, are:
      for M <= 11, otherwise one integer draw).
 
 Short shuffles draw scalars because an ``integers`` call with an array
-``low`` costs about as much as ten or eleven scalar calls whatever its
-length: ``RngStream`` takes a scalar draw straight from the bit generator,
-while an array ``low`` goes through numpy's argument handling. The
-crossover is ``_SCALAR_SWAPS_MAX``.
+``low`` costs about as much as a dozen scalar calls whatever its length:
+``RngStream`` takes a scalar draw straight from the bit generator, while an
+array ``low`` goes through numpy's argument handling. The crossover is
+``_SCALAR_SWAPS_MAX``.
 
 This is the draw sequence of the per-firework formulation (one uniform block
 per firework, one mapping draw per spark, one integer draw per swap), joined
@@ -52,7 +52,9 @@ sequence, interleaved with the others' only in time.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,15 +111,18 @@ def explosion_intensity(fitnesses) -> np.ndarray:
     bit that row's own call.
     """
     fitnesses = np.asarray(fitnesses, dtype=float)
-    f_max = np.maximum.reduce(fitnesses, axis=-1)
-    f_min = np.minimum.reduce(fitnesses, axis=-1)
-    # a NaN propagates into both extrema, and an infinity is one of them;
-    # one row's extrema are scalars, which math.isfinite checks cheapest
     if fitnesses.ndim == 1:
-        finite = math.isfinite(f_max) and math.isfinite(f_min)
+        # one row's extrema are cheapest as Python floats; max and min may
+        # pass over a NaN, but a sum of finite values is NaN-free, and only
+        # an overflowing one needs the value-by-value check
+        values = fitnesses.tolist()
+        f_max, f_min = max(values), min(values)
+        finite = math.isfinite(sum(values)) or all(map(math.isfinite, values))
     else:
+        # a NaN propagates into both extrema, and an infinity is one of them
+        f_max = np.maximum.reduce(fitnesses, axis=-1)[..., None]
+        f_min = np.minimum.reduce(fitnesses, axis=-1)[..., None]
         finite = np.isfinite(f_max).all() and np.isfinite(f_min).all()
-        f_max, f_min = f_max[..., None], f_min[..., None]
     if not finite:
         raise ValueError("all fitnesses must be finite")
     exponents = (f_max - fitnesses) / (f_max - f_min + XI)
@@ -125,11 +130,14 @@ def explosion_intensity(fitnesses) -> np.ndarray:
 
 
 def average_intensity(spark_counts):
-    """Mean spark count, kept as a real number (no truncation); a 2-d
-    block of counts gives one mean per row as a 1-d array."""
-    counts = np.asarray(spark_counts, dtype=float)
-    mean = np.add.reduce(counts, axis=-1) / counts.shape[-1]  # what np.mean computes
-    return mean if mean.ndim else float(mean)
+    """Mean spark count, kept as a real number (no truncation): the exact
+    integer sum of the counts divided once by their number, which is what
+    ``np.mean`` gives for counts this small. A 2-d block of counts gives
+    one mean per row as a 1-d array."""
+    counts = np.asarray(spark_counts)
+    if counts.ndim == 1:
+        return sum(counts.tolist()) / counts.size
+    return np.add.reduce(counts, axis=-1) / counts.shape[-1]
 
 
 def explosion_radius(x, pbest, core, counts, s_avg: float) -> np.ndarray:
@@ -142,7 +150,8 @@ def explosion_radius(x, pbest, core, counts, s_avg: float) -> np.ndarray:
     """
     toward_pbest = (np.asarray(counts) < s_avg)[..., None]
     target = np.where(toward_pbest, np.asarray(pbest, dtype=float), np.asarray(core, dtype=float))
-    return target - np.asarray(x, dtype=float)
+    target -= x  # np.where's result is a new array
+    return target
 
 
 def generate_explosion_sparks(x, radius, counts, rng: RngStream | list[RngStream]) -> np.ndarray:
@@ -167,15 +176,37 @@ def generate_explosion_sparks(x, radius, counts, rng: RngStream | list[RngStream
     else:
         x = x.repeat(counts, axis=0)
         beta = rng.uniform(size=x.shape)
-    return x + beta * radius.repeat(counts, axis=0)
+    # beta * radius + x, in place on the fresh beta block
+    beta *= radius.repeat(counts, axis=0)
+    beta += x
+    return beta
 
 
 # Longest shuffle drawn as scalar calls. Through RngStream, with numpy 2.4
 # and Python 3.11 on a 2-core x86_64 machine, an integer draw with an array
-# low costs about 11 us whatever its length, and k scalar draws, which
-# RngStream takes straight from the bit generator, about 1.05k us; the two
-# break even between ten and eleven swaps.
+# low costs 5.7 to 6.8 us whatever its length, and a scalar draw, which
+# RngStream takes straight from the bit generator, about 0.55 us. Whole
+# shuffles of 30 or 45 entries break even between 12 and 13 swaps, but
+# gaussian_mutation on 30 dimensions costs the same within noise with the
+# crossover at 10, 11, 12 or 13, so it stays at 10 and the draw calls that
+# the tape tests and the benchmark's traced counts pin stay as they are.
 _SCALAR_SWAPS_MAX = 10
+
+
+@functools.cache
+def _identity(n: int) -> tuple[int, ...]:
+    """range(n) as a tuple, which no shuffle can write into. One is kept
+    per length, and a run meets few lengths: its dimension and the sizes of
+    its candidate pool."""
+    return tuple(range(n))
+
+
+@functools.cache
+def _swap_lows(k: int) -> np.ndarray:
+    """The read-only ``low`` bounds 0..k-1 of a k-swap array draw."""
+    lows = np.arange(k)
+    lows.flags.writeable = False
+    return lows
 
 
 def _sample_without_replacement(n: int, k: int, rng: RngStream) -> list[int]:
@@ -184,18 +215,21 @@ def _sample_without_replacement(n: int, k: int, rng: RngStream) -> list[int]:
     Swap j exchanges entries j and s_j with s_j uniform in [j, n). The k
     targets come from k scalar draws up to ``_SCALAR_SWAPS_MAX`` swaps and
     from one array-``low`` draw beyond; both give the same values and
-    leave the same stream state.
+    leave the same stream state. Each call shuffles a fresh list.
     """
-    idx = list(range(n))
+    idx = list(_identity(n))
     if k <= _SCALAR_SWAPS_MAX:
         integers = rng.integers
         for j in range(k):
             s = integers(j, n)
             idx[j], idx[s] = idx[s], idx[j]
     else:
-        for j, s in enumerate(rng.integers(np.arange(k), n).tolist()):
+        for j, s in enumerate(rng.integers(_swap_lows(k), n).tolist()):
             idx[j], idx[s] = idx[s], idx[j]
     return idx[:k]
+
+
+_ONE = array("d", [1.0])
 
 
 def gaussian_mutation(fireworks, count: int, rng: RngStream | list[RngStream]) -> np.ndarray:
@@ -222,7 +256,8 @@ def gaussian_mutation(fireworks, count: int, rng: RngStream | list[RngStream]) -
     fireworks = np.asarray(fireworks, dtype=float)
     m, d = fireworks.shape[-2:]
     streams = rng if isinstance(rng, list) else [rng]
-    parents, scale = [], [1.0] * (len(streams) * count * d)
+    # a flat buffer of doubles, which numpy reads without a copy
+    parents, scale = [], _ONE * (len(streams) * count * d)
     for r, stream in enumerate(streams):
         integers, normal = stream.integers, stream.normal
         # k is the mutant's first entry in the flat scale
@@ -232,8 +267,8 @@ def gaussian_mutation(fireworks, count: int, rng: RngStream | list[RngStream]) -
             factor = normal() + 1.0
             for j in dims:
                 scale[k + j] = factor
-    mutants = fireworks.reshape(-1, d)[parents]
-    mutants *= np.array(scale).reshape(mutants.shape)
+    mutants = fireworks.reshape(-1, d).take(parents, axis=0)
+    mutants *= np.frombuffer(scale).reshape(mutants.shape)
     return mutants
 
 
@@ -247,11 +282,12 @@ def select_next_generation(fitness, population_size: int, rng: RngStream) -> np.
     candidates than ``population_size`` raise ValueError; ``lfwa_step``
     always passes at least 3M + 1 + G, with G the number of Gaussian mutants.
     """
-    if population_size > len(fitness):
-        raise ValueError(f"selection needs {population_size} candidates, got {len(fitness)}: "
-                         f"{population_size - len(fitness)} short")
+    n = len(fitness)
+    if population_size > n:
+        raise ValueError(f"selection needs {population_size} candidates, got {n}: "
+                         f"{population_size - n} short")
     elite = int(np.asarray(fitness).argmin())
-    picks = _sample_without_replacement(len(fitness) - 1, population_size - 1, rng)
+    picks = _sample_without_replacement(n - 1, population_size - 1, rng)
     # pool entry p is candidate p, or p + 1 from the elite on
     return np.array([elite] + [p + (p >= elite) for p in picks])
 
@@ -278,12 +314,12 @@ def lfwa_step(
     positions = np.concatenate((fireworks, pbest, pbest[core : core + 1], sparks))
     fitness = np.concatenate((state.fitness, pbest_fitness, pbest_fitness[core : core + 1], values))
     selected = select_next_generation(fitness, m, rng)
-    new_fireworks = positions[selected]
-    new_fitness = fitness[selected]
+    new_fireworks = positions.take(selected, axis=0)
+    new_fitness = fitness.take(selected)
 
     improved = new_fitness < pbest_fitness
     # no state array is written in place, so an unchanged history is shared
-    if improved.any():
+    if True in improved.tolist():
         pbest = np.where(improved[:, None], new_fireworks, pbest)
         pbest_fitness = np.where(improved, new_fitness, pbest_fitness)
     if new_fitness[0] < state.best_fitness:
@@ -354,6 +390,10 @@ def lfwa_runs(objective: Objective, config: RunConfig, runs: int) -> list[RunRec
 
     def generations(rngs: list[RngStream]):
         runs = np.arange(len(rngs))
+        # the run labels of lfwa_step's candidates: fireworks, pbest, core,
+        # explosion sparks and mutants; only the explosion sparks' change
+        fixed_runs = np.concatenate((runs.repeat(m), runs.repeat(m), runs))
+        mutant_runs = runs.repeat(g)
         fireworks = np.stack([space.sample(rng, m) for rng in rngs])
         fitness = evaluate_runs(objective, fireworks)
         pbest, pbest_fitness = fireworks, fitness
@@ -372,14 +412,14 @@ def lfwa_runs(objective: Objective, config: RunConfig, runs: int) -> list[RunRec
 
             explosion = generate_explosion_sparks(fireworks, radii, counts, rngs)
             mutants = gaussian_mutation(fireworks, g, rngs)
-            row_runs = np.concatenate((runs.repeat(totals), runs.repeat(g)))
+            cand_runs = np.concatenate((fixed_runs, runs.repeat(totals), mutant_runs))
+            row_runs = cand_runs[fixed_runs.size:]
             sparks = map_into_bounds(np.concatenate((explosion, mutants)), space, rngs, row_runs)
             values = evaluate_runs(objective, sparks, row_runs)
             evaluations += totals + g
 
             # lfwa_step's candidates, one contiguous block per run: its
             # fireworks, pbest, core and sparks
-            cand_runs = np.concatenate((runs.repeat(m), runs.repeat(m), runs, row_runs))
             order = cand_runs.argsort(kind="stable")
             cand_fitness = np.concatenate(
                 (fitness.ravel(), pbest_fitness.ravel(), pbest_fitness[runs, core], values))[order]

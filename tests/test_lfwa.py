@@ -629,3 +629,114 @@ def test_run_trajectory_length_and_monotone():
     assert np.all(np.diff(record.trajectory) <= 0.0)
     assert record.trajectory[-1] == record.final_best.fitness
 
+
+
+# ---------------------------------------------------------------- aliasing
+
+
+def _image(value):
+    """Every array's shape, dtype and bytes, through lists, tuples and
+    ``LfwaState`` fields; other values as they are. Streams are left out,
+    since a draw advances them."""
+    if isinstance(value, LfwaState):
+        return _image(vars(value))
+    if isinstance(value, dict):
+        return {key: _image(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_image(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype.str, value.tobytes()
+    return None if isinstance(value, RngStream) else value
+
+
+def _leaves_its_arguments(function, *args):
+    """Call ``function`` and check that no argument changed a byte."""
+    before = _image(args)
+    result = function(*args)
+    assert _image(args) == before, f"{function.__name__} wrote into an argument"
+    return result
+
+
+def _operator(function, *args):
+    """``_leaves_its_arguments``, and an array result that shares no memory
+    with an array argument, so that writing into it changes no state."""
+    result = _leaves_its_arguments(function, *args)
+    for arg in args:
+        if isinstance(arg, np.ndarray) and isinstance(result, np.ndarray):
+            assert not np.shares_memory(result, arg), f"{function.__name__} returned a view"
+    return result
+
+
+def _fisher_yates(n, k, rng):
+    """Transcribed: the first k entries of a partial shuffle of a fresh
+    range(n), one scalar draw per swap."""
+    idx = list(range(n))
+    for j in range(k):
+        s = rng.integers(j, n)
+        idx[j], idx[s] = idx[s], idx[j]
+    return idx[:k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    function=st.sampled_from([f"f{i}" for i in range(1, 10)]),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 8),
+    runs=st.integers(1, 3),
+)
+def test_no_operator_writes_into_its_arguments_property(function, seed, m, runs):
+    # an in-place trim that writes into a state array or an argument, or
+    # hands back one, changes a byte here
+    objective = make_objective(function)
+    space, config = objective.space, RunConfig(population_size=m, seed=seed)
+    g, labels = config.gaussian_spark_count, np.arange(runs)
+    states, rngs = [], []
+    for r in range(runs):
+        state, rng = make_state(objective, config, seed + r)
+        for _ in range(4):
+            state = _leaves_its_arguments(lfwa_step, state, objective, config, rng)
+        states.append(state)
+        rngs.append(rng)
+    images = _image(states)
+
+    # one run, one stream, as lfwa_step calls them
+    state, rng = states[0], rngs[0]
+    core = state.core_index
+    counts = _operator(explosion_intensity, state.fitness)
+    s_avg = _operator(average_intensity, counts)
+    radii = _operator(explosion_radius, state.fireworks, state.pbest, state.pbest[core], counts,
+                      s_avg)
+    sparks = _operator(generate_explosion_sparks, state.fireworks, radii, counts, rng)
+    mutants = _operator(gaussian_mutation, state.fireworks, g, rng)
+    rows = np.concatenate((sparks, mutants))
+    rows[::2] += space.width  # most of these rows leave the box
+    mapped = _operator(map_into_bounds, rows, space, rng)
+    candidates = np.concatenate((state.fitness, state.pbest_fitness,
+                                 objective.evaluate_many(mapped)))
+    _operator(select_next_generation, candidates, m, rng)
+    _operator(select_next_generation, candidates[1:], m, rng)  # a view, as lfwa_runs passes
+
+    # the runs in lockstep, a list of streams, as lfwa_runs calls them
+    fireworks, pbest = (np.stack([getattr(s, name) for s in states]) for name in ("fireworks", "pbest"))
+    fitness, pbest_fitness = (np.stack([getattr(s, name) for s in states])
+                              for name in ("fitness", "pbest_fitness"))
+    counts = _operator(explosion_intensity, fitness)
+    means = _operator(average_intensity, counts)
+    core_positions = pbest[labels, pbest_fitness.argmin(axis=1)][:, None]
+    radii = _operator(explosion_radius, fireworks, pbest, core_positions, counts, means[:, None])
+    sparks = _operator(generate_explosion_sparks, fireworks, radii, counts, rngs)
+    mutants = _operator(gaussian_mutation, fireworks, g, rngs)
+    rows = np.concatenate((sparks, mutants))
+    rows[::2] += space.width
+    row_runs = np.concatenate((labels.repeat(counts.sum(axis=1)), labels.repeat(g)))
+    _operator(map_into_bounds, rows, space, rngs, row_runs)
+    blocks = fireworks + space.width * (labels % 2)[:, None, None]  # the (R, n, d) layout
+    _operator(map_into_bounds, blocks, space, rngs)
+    assert _image(states) == images
+
+    # back to back, every shuffle starts from range(n): a cached index list
+    # that one shuffle wrote into would show in the next
+    d = objective.dim
+    for n, k in ((d, d), (d, 1), (len(candidates) - 1, m - 1), (40, _SCALAR_SWAPS_MAX + 2)) * 2:
+        expected = _fisher_yates(n, k, RngStream(seed))
+        assert _leaves_its_arguments(_sample_without_replacement, n, k, RngStream(seed)) == expected
