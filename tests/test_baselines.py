@@ -2,14 +2,16 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import in_box
 from litefwa.baselines import (
     BaParams,
     FwaParams,
     SpsoParams,
+    _select_fireworks,
     ba_run,
     ba_runs,
     fwa_run,
@@ -18,7 +20,7 @@ from litefwa.baselines import (
     spso_runs,
 )
 from litefwa.benchmarks import Objective, make_objective, objective_names
-from litefwa.core import RunConfig, SearchSpace
+from litefwa.core import RngStream, RunConfig, SearchSpace
 from litefwa.harness import ALGORITHMS
 
 SHORT = RunConfig(max_iterations=30, seed=11)
@@ -236,6 +238,18 @@ def lockstep_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=lockstep_cases())
+# most bats take the local walk
+@example(case=(BaParams(population=4, pulse_rate=1.0, pulse_growth=2.0), "f1",
+               RunConfig(max_iterations=6, seed=29), 4))
+# every no-worse candidate is accepted at first and the loudness halves each
+# time, so a run's walk scale goes stale unless it follows its loudness
+@example(case=(BaParams(population=4, loudness=1.0, loudness_decay=0.5, pulse_rate=0.5,
+                        pulse_growth=1.0), "f7", RunConfig(max_iterations=8, seed=3), 3))
+@example(case=(BaParams(population=5, loudness=1.0, loudness_decay=0.5, pulse_rate=0.5,
+                        pulse_growth=1.0), "f2", RunConfig(max_iterations=6, seed=17), 5))
+# no bat fires
+@example(case=(BaParams(population=4, pulse_rate=0.0), "f3",
+               RunConfig(max_iterations=5, seed=8), 3))
 def test_ba_runs_equal_ba_run_per_seed_bit_for_bit(case):
     params, function, config, runs = case
     objective = make_objective(function)
@@ -320,3 +334,60 @@ def test_fwa_and_spso_chunks_give_each_seed_its_one_run_record(run_many, run, ca
 def test_lockstep_runs_take_a_run_count_of_at_least_one(run_many, params, runs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_many(make_objective("f7"), params, SHORT, runs)
+
+
+def reference_select_fireworks(cand_positions, cand_fitness, m, rng):
+    """FWA's selection as first written, kept as a reference: the crowding
+    from fresh temporaries, and the roulette pool gathered by index."""
+    elite = int(cand_fitness.argmin())
+    sq = np.add.reduce(cand_positions * cand_positions, axis=1)
+    gram2 = 2.0 * cand_positions @ cand_positions.T
+    dist_sq = np.maximum(sq[:, None] + sq[None, :] - gram2, 0.0)
+    crowding = np.add.reduce(np.sqrt(dist_sq), axis=1)
+    pool_indices = (np.arange(cand_fitness.size) != elite).nonzero()[0]
+    weights = crowding[pool_indices]
+    weight_sum = np.add.reduce(weights)
+    if weight_sum <= 0:
+        probs = np.full(weights.size, 1.0 / weights.size)
+    else:
+        probs = weights / weight_sum
+    cumulative = np.add.accumulate(probs)
+    spins = rng.uniform(size=m - 1)
+    picks = pool_indices[np.minimum(cumulative.searchsorted(spins), weights.size - 1)]
+    return np.concatenate(([elite], picks))
+
+
+@st.composite
+def selection_cases(draw):
+    """N = 2..70 candidates in d = 1..30 dimensions, m = 2..10 picks, a
+    seed, and the elite placed first, last or wherever the fitness puts it.
+    Duplicate rows are whole numbers, so every sum in the crowding is exact
+    and every crowding is 0."""
+    n, d = draw(st.integers(2, 70)), draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        row = draw(arrays(float, d, elements=st.integers(-8, 8).map(float)))
+        positions = np.tile(row, (n, 1))
+    else:
+        positions = draw(arrays(float, (n, d), elements=st.floats(-100.0, 100.0)))
+    fitness = draw(arrays(float, n, elements=st.floats(-1e3, 1e3)))
+    elite = draw(st.sampled_from([None, 0, n - 1]))
+    if elite is not None:
+        fitness[elite] = fitness.min() - 1.0
+    return positions, fitness, draw(st.integers(2, 10)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=selection_cases())
+@example(case=(np.zeros((4, 3)), np.array([0.0, 1.0, 2.0, 3.0]), 5, 1))
+@example(case=(np.ones((6, 2)), np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.0]), 4, 2))
+@example(case=(np.arange(10.0).reshape(5, 2), np.array([3.0, 1.0, 2.0, 4.0, 0.0]), 6, 3))
+def test_fwa_selection_matches_its_reference(case):
+    # the picks and what the roulette drew, for spread-out candidates,
+    # duplicate ones (the uniform roulette) and the elite first or last
+    positions, fitness, m, seed = case
+    rng, reference_rng = RngStream(seed), RngStream(seed)
+    picks = _select_fireworks(positions, fitness, m, rng)
+    expected = reference_select_fireworks(positions, fitness, m, reference_rng)
+    assert picks.dtype == expected.dtype
+    assert picks.tolist() == expected.tolist()
+    assert rng._gen.bit_generator.state == reference_rng._gen.bit_generator.state
